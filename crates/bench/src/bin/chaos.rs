@@ -1,6 +1,5 @@
 //! Chaos driver: a seeded, repeatable storage-fault drill against a
-//! durable [`OptimizerServer`], at both durability layouts (shards = 1
-//! and shards = 8).
+//! durable [`OptimizerServer`], at shards = 1 and shards = 8.
 //!
 //! Concurrent publishers hammer the server with unique workloads while
 //! a scheduler thread opens and closes I/O fault windows (ENOSPC,
@@ -21,7 +20,7 @@
 //! re-checks them offline. Exits non-zero on any violated invariant.
 //!
 //! Flags: `--quick` (CI-scale rounds), `--seed <n>` (fault schedule),
-//! `--shards <n>` (one layout instead of both), `--dir <path>`.
+//! `--shards <n>` (one shard count instead of both), `--dir <path>`.
 
 use co_bench::write_json;
 use co_core::{DurabilityConfig, DurabilityHealth, OptimizerServer, ServerConfig, ServerStats};
@@ -145,10 +144,7 @@ fn fingerprint(server: &OptimizerServer) -> Fingerprint {
 }
 
 fn assert_fsck_clean(dir: &Path) {
-    let report = match co_graph::fsck::detect_shard_layout(dir) {
-        Some(n) => co_graph::fsck::check_sharded_data_dir(dir, n, true).unwrap(),
-        None => co_graph::fsck::check_data_dir(dir, true).unwrap(),
-    };
+    let report = co_graph::fsck::check_data_dir(dir, true).unwrap();
     assert!(report.is_clean(), "egfsck: {report}");
 }
 

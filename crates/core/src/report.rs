@@ -71,17 +71,15 @@ impl ExecutionReport {
 /// from a data directory (see `OptimizerServer::open`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Whether a snapshot file existed and loaded (any shard's, on a
-    /// sharded data directory).
+    /// Whether any shard's snapshot file existed and loaded.
     pub snapshot_loaded: bool,
-    /// Journal records replayed on top of the snapshot.
+    /// Journal records replayed on top of the snapshots.
     pub journal_records_replayed: usize,
-    /// Sharded recovery only: journal records skipped because they were
-    /// already inside a shard snapshot's watermark or belonged to a
-    /// publish the commit log never committed (rolled back).
+    /// Journal records skipped because they were already inside a shard
+    /// snapshot's watermark or belonged to a cross-shard publish the
+    /// commit log never committed (rolled back).
     pub journal_records_skipped: usize,
-    /// Sharded recovery only: distinct committed publishes named by the
-    /// cross-shard commit log.
+    /// Distinct publishes whose records were replayed.
     pub committed_publishes: usize,
     /// Whether a torn journal tail (crash mid-append) was detected and
     /// truncated.

@@ -7,12 +7,14 @@
 //! write-lock critical section). No Experiment Graph lock is ever held
 //! while an `Operation::run` executes.
 //!
-//! With [`ServerConfig::shards`] > 1 the Experiment Graph is partitioned
-//! into lock shards (`co_graph::shard`): planning takes every shard's
-//! read lock and serves through an [`EgView`], while publishing locks
-//! only the shards a workload touches — in ascending shard order, so two
-//! publishers can never deadlock — and journals each shard's delta
-//! separately, sealed by a cross-shard commit record (DESIGN.md §14).
+//! The Experiment Graph is partitioned into [`ServerConfig::shards`] ≥ 1
+//! lock shards (`co_graph::shard`); one shard is the trivial case, not a
+//! separate code path. Planning takes every shard's read lock and serves
+//! through an [`EgView`], while publishing locks only the shards a
+//! workload touches — in ascending shard order, so two publishers can
+//! never deadlock — and journals each shard's delta separately. A
+//! publish touching one shard is committed by its own journal record; a
+//! cross-shard publish is sealed by a commit record (DESIGN.md §14).
 
 use crate::cost::CostModel;
 use crate::executor::{self, ExecutorConfig};
@@ -28,7 +30,8 @@ use co_graph::journal::{self, EgDelta, FsyncPolicy, Journal, QuarantineEntry, Ve
 use co_graph::shard::{self, ShardedEg};
 use co_graph::{
     snapshot, ArtifactId, ColdStore, CommitLog, CommitRecord, CrashPoint, EgView, ExperimentGraph,
-    FaultInjector, GraphError, OpHash, OpRef, Result, ScrubOutcome, Value, WorkloadDag,
+    FaultInjector, GraphError, OpHash, OpRef, Result, ScrubOutcome, ShardWriteGuard, Value,
+    WorkloadDag,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -93,12 +96,13 @@ pub struct ServerConfig {
     /// available parallelism. The kernels are bit-identical for any thread
     /// count, so this is purely a throughput/footprint knob.
     pub df_threads: Option<usize>,
-    /// Experiment Graph lock shards. `1` (the default) is the classic
-    /// single-graph server with bit-identical behavior; larger values
-    /// partition vertices by artifact hash so publishers touching
-    /// disjoint shards commit concurrently. At shards > 1 the budgeted
-    /// materializers degrade to a first-fit scope over the publishing
-    /// workload (DESIGN.md §14).
+    /// Experiment Graph lock shards (`0` is read as 1). Vertices are
+    /// partitioned by artifact hash so publishers touching disjoint
+    /// shards commit concurrently; every shard count uses the same
+    /// durable layout and publish path. At one shard (the default) the
+    /// configured materializer runs unchanged over the whole graph; at
+    /// more than one the budgeted materializers degrade to a first-fit
+    /// scope over the publishing workload (DESIGN.md §14).
     pub shards: usize,
 }
 
@@ -158,14 +162,12 @@ impl ServerConfig {
 }
 
 /// Where and how the Experiment Graph is made crash-safe (see
-/// DESIGN.md §10 and §14). At `shards = 1` the data directory holds one
-/// snapshot (`eg.egsnap`, written atomically) and one write-ahead
-/// journal (`eg.wal`, appended inside the publish critical section). At
-/// `shards = N` it holds one snapshot + journal pair per shard
-/// (`eg-k.egsnap` / `eg-k.wal`) plus the cross-shard commit log
-/// (`eg.commit`). The two layouts are mutually exclusive; opening a
-/// directory with the wrong shard count is an error, not silent
-/// misrouting.
+/// DESIGN.md §10 and §14). At every shard count N ≥ 1 the data
+/// directory holds one atomically written snapshot and one write-ahead
+/// journal per shard (`eg-<k>.egsnap` / `eg-<k>.wal`, appended inside
+/// the publish critical section) plus the cross-shard commit log
+/// (`eg.commit`). Opening a directory with a different shard count than
+/// it was written with is an error, not silent misrouting.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Data directory; created on open if missing.
@@ -209,18 +211,6 @@ impl DurabilityConfig {
     #[must_use]
     pub fn cold_dir(&self) -> PathBuf {
         self.dir.join("cold")
-    }
-
-    /// Path of the snapshot file (single-shard layout).
-    #[must_use]
-    pub fn snapshot_path(&self) -> PathBuf {
-        self.dir.join("eg.egsnap")
-    }
-
-    /// Path of the write-ahead journal (single-shard layout).
-    #[must_use]
-    pub fn journal_path(&self) -> PathBuf {
-        self.dir.join("eg.wal")
     }
 }
 
@@ -297,59 +287,79 @@ fn is_simulated_crash(e: &GraphError) -> bool {
     matches!(e, GraphError::Io(msg) if msg.contains("injected crash at"))
 }
 
-/// Mutable durability state of the single-shard layout, locked *after*
-/// the EG write lock (lock order: eg → durability → stats).
-struct DurabilityState {
-    config: DurabilityConfig,
-    journal: Journal,
-    /// Quarantine entries as last persisted (op_hash → failures) — the
-    /// baseline the publish path diffs against to emit Q+/Q- records.
-    persisted_quarantine: HashMap<OpHash, usize>,
-    /// Graded health: a failed journal append no longer wedges the
-    /// server — the delta joins `backlog`, the layer turns read-only,
-    /// and repair re-appends once the disk recovers.
-    health: DurabilityHealth,
-    /// Deltas that are live in memory but not yet durable, in append
-    /// order. Drained (front first) by a successful repair.
-    backlog: Vec<EgDelta>,
-    /// Consecutive failed counted repair attempts (see
-    /// [`DurabilityConfig::max_repair_attempts`]).
-    repair_attempts: usize,
-}
-
-/// One cross-shard publish awaiting re-append: its per-shard deltas
-/// (ascending shard order), the commit record that seals it, and the
-/// persisted-quarantine map to install once it lands.
-struct ShardedBacklog {
+/// One publish on its way to the journals: its per-shard records
+/// (ascending shard order, none empty), the commit record sealing it when
+/// it spans more than one shard, and the persisted-quarantine map to
+/// install once it is durable.
+struct PendingPublish {
+    seq: u64,
     deltas: Vec<(usize, EgDelta)>,
-    record: CommitRecord,
+    /// `None` when the publish touched one shard: its record commits
+    /// itself, so the publish costs one append and one fsync.
+    commit: Option<CommitRecord>,
     quarantine: Option<HashMap<OpHash, usize>>,
 }
 
-/// Durability state of the sharded layout. Lock order within a publish:
-/// shard write locks (ascending) → `persisted_quarantine` → per-shard
-/// journal mutexes (ascending) → commit-log mutex → stats. The
-/// `backlog` mutex is only ever taken with none of those held (the
-/// publish path drops the quarantine guard before backlogging; repair
-/// holds `backlog` outermost and takes the others transiently).
-struct ShardedDurability {
+impl PendingPublish {
+    /// Seal per-shard deltas as publish `seq`: stamp every record's `S`
+    /// line, and build a commit record only for a cross-shard publish.
+    fn new(
+        seq: u64,
+        mut deltas: Vec<(usize, EgDelta)>,
+        quarantine: Option<HashMap<OpHash, usize>>,
+    ) -> Self {
+        let shards_touched = shard_u32(deltas.len());
+        for (_, delta) in &mut deltas {
+            delta.seq = seq;
+            delta.shards_touched = shards_touched;
+        }
+        let commit = (deltas.len() > 1).then(|| CommitRecord {
+            seq,
+            shards: deltas.iter().map(|(k, _)| shard_u32(*k)).collect(),
+        });
+        PendingPublish {
+            seq,
+            deltas,
+            commit,
+            quarantine,
+        }
+    }
+}
+
+/// A shard index or count as journaled.
+fn shard_u32(k: usize) -> u32 {
+    // co-lint:allow(no-panic) shard counts are small configuration values, far below u32::MAX
+    u32::try_from(k).expect("shard index fits u32")
+}
+
+/// Durable state of the data directory. Lock order within a publish:
+/// shard write locks (ascending) → `persisted_quarantine` (briefly) →
+/// per-shard journal mutexes (ascending) → commit-log mutex → stats.
+/// The `backlog` mutex is never taken while a journal, commit-log or
+/// quarantine mutex is held (repair holds `backlog` outermost and takes
+/// the others transiently).
+struct Durability {
     config: DurabilityConfig,
     /// One write-ahead journal per shard.
     journals: Vec<parking_lot::Mutex<Journal>>,
-    /// The cross-shard commit log: a publish is committed iff its
-    /// sequence number appears here. Always locked last.
+    /// The cross-shard commit log: a publish spanning several shards is
+    /// committed iff its sequence number appears here.
     commit: parking_lot::Mutex<CommitLog>,
-    /// Quarantine entries as last durably persisted. Advanced only
-    /// after the commit record lands, so recovery's view matches.
+    /// Quarantine entries as last durably persisted — the baseline the
+    /// publish path diffs against to emit Q+/Q- records. Advanced only
+    /// once the publish carrying the change is durable.
     persisted_quarantine: parking_lot::Mutex<HashMap<OpHash, usize>>,
-    /// Sharded analogue of [`DurabilityState::health`] (the
-    /// [`DurabilityHealth::as_u64`] code, narrowed to u8).
+    /// Graded health ([`DurabilityHealth::as_u64`], narrowed to u8): a
+    /// failed append does not wedge the server — the publish joins
+    /// `backlog`, the layer turns read-only, and repair re-appends once
+    /// the disk recovers.
     health: AtomicU8,
-    /// Sharded analogue of [`DurabilityState::backlog`]. Entries may
-    /// arrive out of sequence under concurrent failing publishers;
-    /// repair sorts by sequence number before draining.
-    backlog: parking_lot::Mutex<Vec<ShardedBacklog>>,
-    /// Consecutive failed counted repair attempts.
+    /// Publishes live in memory but not yet durable. Entries may arrive
+    /// out of sequence under concurrent failing publishers; repair
+    /// sorts by sequence number before draining.
+    backlog: parking_lot::Mutex<Vec<PendingPublish>>,
+    /// Consecutive failed counted repair attempts (see
+    /// [`DurabilityConfig::max_repair_attempts`]).
     repair_attempts: AtomicUsize,
     /// Last assigned publish sequence number. Incremented only while
     /// the touched shards' write locks are held, so every shard journal
@@ -357,7 +367,7 @@ struct ShardedDurability {
     seq: AtomicU64,
 }
 
-impl ShardedDurability {
+impl Durability {
     fn health(&self) -> DurabilityHealth {
         DurabilityHealth::from_u64(u64::from(self.health.load(Ordering::SeqCst)))
     }
@@ -367,13 +377,65 @@ impl ShardedDurability {
         // lint:reason health states fit in a u8 by definition
         self.health.store(health.as_u64() as u8, Ordering::SeqCst);
     }
-}
 
-/// Which durability layout the server persists with — decided by
-/// `ServerConfig::shards` at open time.
-enum Durability {
-    Legacy(parking_lot::Mutex<DurabilityState>),
-    Sharded(ShardedDurability),
+    fn next_seq(&self) -> u64 {
+        self.seq.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Append one publish: its per-shard records in ascending shard
+    /// order, then — only when it spans several shards — its commit
+    /// record.
+    fn append(&self, publish: &PendingPublish, faults: Option<&FaultInjector>) -> Result<()> {
+        for (i, (k, delta)) in publish.deltas.iter().enumerate() {
+            if i > 0 && faults.is_some_and(|f| f.take_crash(CrashPoint::ShardGapAppend)) {
+                return Err(GraphError::Io(
+                    "injected crash at shard-gap-append (between per-shard journal appends)"
+                        .to_owned(),
+                ));
+            }
+            self.journals[*k].lock().append(delta, faults)?;
+        }
+        if let Some(record) = &publish.commit {
+            self.commit.lock().append(record, faults)?;
+        }
+        Ok(())
+    }
+
+    /// Make one publish durable. A simulated crash wedges the layer; a
+    /// live I/O failure queues the publish for repair, turns the layer
+    /// read-only and rejects the publish retriably.
+    fn persist(&self, publish: PendingPublish, faults: Option<&FaultInjector>) -> Result<()> {
+        match self.health() {
+            DurabilityHealth::Wedged => return Err(GraphError::Io(WEDGED_MSG.to_owned())),
+            // A publish that raced past the entry gate while the layer
+            // was already read-only goes straight to the backlog: its
+            // merge is live in memory, and the (possibly damaged,
+            // possibly being repaired) journals must not be touched.
+            DurabilityHealth::ReadOnly => return Err(self.defer(publish)),
+            DurabilityHealth::Healthy => {}
+        }
+        match self.append(&publish, faults) {
+            Ok(()) => {
+                if let Some(q) = publish.quarantine {
+                    *self.persisted_quarantine.lock() = q;
+                }
+                Ok(())
+            }
+            Err(e) if is_simulated_crash(&e) => {
+                self.set_health(DurabilityHealth::Wedged);
+                Err(e)
+            }
+            Err(_) => Err(self.defer(publish)),
+        }
+    }
+
+    /// Queue a publish that could not be made durable and degrade to
+    /// read-only.
+    fn defer(&self, publish: PendingPublish) -> GraphError {
+        self.backlog.lock().push(publish);
+        self.set_health(DurabilityHealth::ReadOnly);
+        GraphError::read_only(READ_ONLY_RETRY_HINT_MS)
+    }
 }
 
 /// Cumulative statistics over a server's lifetime — the dashboard
@@ -520,10 +582,10 @@ struct Recipe {
 }
 
 impl OptimizerServer {
-    /// Create a server. The Experiment Graph store deduplicates columns
-    /// iff the configured materializer is storage-aware; with
-    /// `config.shards > 1` the graph is partitioned into that many lock
-    /// shards sharing one column vault.
+    /// Create an in-memory server. The Experiment Graph store
+    /// deduplicates columns iff the configured materializer is
+    /// storage-aware; with `config.shards > 1` the graph is partitioned
+    /// into that many lock shards sharing one column vault.
     #[must_use]
     pub fn new(config: ServerConfig) -> Self {
         let dedup = config.materializer == MaterializerKind::StorageAware;
@@ -531,10 +593,9 @@ impl OptimizerServer {
     }
 
     /// Assemble a server around the given sharded graph (shared by
-    /// [`new`], [`with_graph`] and [`open`]).
+    /// [`new`] and [`open`]).
     ///
     /// [`new`]: OptimizerServer::new
-    /// [`with_graph`]: OptimizerServer::with_graph
     /// [`open`]: OptimizerServer::open
     fn build(mut config: ServerConfig, eg: ShardedEg) -> Self {
         config.shards = eg.n_shards();
@@ -590,56 +651,18 @@ impl OptimizerServer {
         }
     }
 
-    /// Create a server around an existing Experiment Graph — e.g. one
-    /// restored from a meta-data snapshot (`co_graph::snapshot`) after a
-    /// restart. Always single-shard: an externally built graph has no
-    /// shard partition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidStructure`] when `config.shards > 1`
-    /// (partition an existing directory via [`open`] instead), or when
-    /// the restored graph's store deduplication mode does not match the
-    /// configured materializer: the storage-aware algorithm budgets
-    /// *deduplicated* bytes, every other materializer budgets nominal
-    /// bytes, so a mismatch silently mis-accounts the storage budget.
-    ///
-    /// [`open`]: OptimizerServer::open
-    pub fn with_graph(config: ServerConfig, eg: ExperimentGraph) -> Result<Self> {
-        if config.shards > 1 {
-            return Err(GraphError::InvalidStructure(format!(
-                "with_graph builds a single-shard server but config.shards = {}",
-                config.shards
-            )));
-        }
-        let dedup = config.materializer == MaterializerKind::StorageAware;
-        if eg.storage().dedup_enabled() != dedup {
-            return Err(GraphError::InvalidStructure(format!(
-                "experiment graph store dedup={} but the {:?} materializer requires dedup={}",
-                eg.storage().dedup_enabled(),
-                config.materializer,
-                dedup
-            )));
-        }
-        Ok(OptimizerServer::build(
-            config,
-            ShardedEg::from_graphs(vec![eg], None),
-        ))
-    }
-
     /// Open a crash-safe server from a data directory: remove orphaned
-    /// temp files, load the newest valid snapshot(s), replay the
-    /// journal(s) on top (truncating torn tails instead of failing),
+    /// temp files, load the newest valid per-shard snapshots, replay the
+    /// journals on top (truncating torn tails instead of failing),
     /// re-install the persisted quarantine set, and start journaling
     /// committed workloads. Returns the server and a [`RecoveryReport`]
     /// describing what recovery found and repaired.
     ///
-    /// With `config.shards > 1` the directory uses the sharded layout
-    /// (`eg-k.egsnap` / `eg-k.wal` / `eg.commit`) and recovery
-    /// reconstructs exactly the committed prefix: per-shard journal
-    /// records whose publish never reached the commit log are skipped,
-    /// so a crash between two shards' appends rolls the whole publish
-    /// back. Opening a directory whose on-disk layout disagrees with
+    /// Recovery (`co_graph::shard::recover_shards`) reconstructs exactly
+    /// the committed prefix: a record is applied iff its publish touched
+    /// one shard or its sequence number reached the commit log, so a
+    /// crash between two shards' appends rolls the whole publish back.
+    /// Opening a directory written with a different shard count than
     /// `config.shards` is an error.
     pub fn open(
         config: ServerConfig,
@@ -651,149 +674,29 @@ impl OptimizerServer {
                 durability.dir.display()
             ))
         })?;
-        let mut recovery = RecoveryReport::default();
-
+        // Check the layout before touching any file, so a directory in
+        // an unsupported format is left as it was.
+        let n = config.shards.max(1);
+        let found = co_graph::fsck::detect_shard_layout(&durability.dir)?;
         // A crash mid-save leaves `*.tmp` files behind; an interrupted
         // save never touches the live snapshot or journal, so these are
         // safe to discard.
-        if let Ok(entries) = co_graph::vfs::read_dir_sorted(&durability.dir, None) {
-            for path in entries {
-                if path.to_string_lossy().ends_with(".tmp")
-                    && co_graph::vfs::remove_file(&path, None).is_ok()
-                {
-                    recovery.stray_tmp_removed += 1;
-                }
+        let stray_tmp_removed = remove_stray_tmps(&durability.dir);
+
+        if let Some(found) = found {
+            if found != n {
+                return Err(GraphError::InvalidStructure(format!(
+                    "data directory {} is sharded {found} way(s) but the server is \
+                     configured for {n} shard(s)",
+                    durability.dir.display()
+                )));
             }
         }
-
         let dedup = config.materializer == MaterializerKind::StorageAware;
-        if config.shards.max(1) == 1 {
-            if let Some(found) = co_graph::fsck::detect_shard_layout(&durability.dir) {
-                return Err(GraphError::InvalidStructure(format!(
-                    "data directory {} holds a sharded layout ({found} shards); \
-                     open it with config.shards = {found}",
-                    durability.dir.display()
-                )));
-            }
-            OptimizerServer::open_single(config, durability, dedup, recovery)
-        } else {
-            if durability.snapshot_path().exists() || durability.journal_path().exists() {
-                return Err(GraphError::InvalidStructure(format!(
-                    "data directory {} holds a single-graph layout (eg.egsnap/eg.wal); \
-                     open it with config.shards = 1",
-                    durability.dir.display()
-                )));
-            }
-            if let Some(found) = co_graph::fsck::detect_shard_layout(&durability.dir) {
-                if found != config.shards {
-                    return Err(GraphError::InvalidStructure(format!(
-                        "data directory {} is sharded {found} ways but the server is \
-                         configured for {} shards",
-                        durability.dir.display(),
-                        config.shards
-                    )));
-                }
-            }
-            OptimizerServer::open_sharded(config, durability, dedup, recovery)
-        }
-    }
-
-    /// The single-shard (`shards = 1`) half of [`open`]: one snapshot,
-    /// one journal, byte-identical to the pre-sharding format.
-    ///
-    /// [`open`]: OptimizerServer::open
-    fn open_single(
-        config: ServerConfig,
-        durability: DurabilityConfig,
-        dedup: bool,
-        mut recovery: RecoveryReport,
-    ) -> Result<(Self, RecoveryReport)> {
-        let snapshot_path = durability.snapshot_path();
-        let (mut eg, mut qmap) = if snapshot_path.exists() {
-            let restored = snapshot::load_full(&snapshot_path, dedup)?;
-            recovery.snapshot_loaded = true;
-            let qmap: HashMap<OpHash, (String, usize)> = restored
-                .quarantine
-                .into_iter()
-                .map(|q| (q.op_hash, (q.name, q.failures)))
-                .collect();
-            (restored.graph, qmap)
-        } else {
-            (ExperimentGraph::new(dedup), HashMap::new())
-        };
-
-        let journal_path = durability.journal_path();
-        let outcome = journal::replay(&journal_path)?;
-        for delta in &outcome.deltas {
-            delta.apply(&mut eg)?;
-            for q in &delta.quarantine_set {
-                qmap.insert(q.op_hash, (q.name.clone(), q.failures));
-            }
-            for h in &delta.quarantine_cleared {
-                qmap.remove(h);
-            }
-        }
-        recovery.journal_records_replayed = outcome.deltas.len();
-        if let Some(valid_len) = outcome.torn_at {
-            journal::truncate(&journal_path, valid_len)?;
-            recovery.torn_tail_truncated = true;
-            recovery.torn_bytes_discarded = outcome.bytes_discarded;
-        }
-
-        // In debug builds, fsck the recovered graph before serving from
-        // it: recovery bugs surface here, not workloads later.
-        #[cfg(debug_assertions)]
-        {
-            let fsck = co_graph::fsck::check_graph(&eg);
-            debug_assert!(fsck.is_clean(), "post-recovery fsck failed:\n{fsck}");
-        }
-
-        let journal = Journal::open(&journal_path, durability.fsync)?;
-        let cold = durability
-            .cold_columns
-            .then(|| ColdStore::open(&durability.cold_dir()))
-            .transpose()?;
-        let state = DurabilityState {
-            config: durability,
-            journal,
-            persisted_quarantine: qmap.iter().map(|(op, (_, f))| (*op, *f)).collect(),
-            health: DurabilityHealth::Healthy,
-            backlog: Vec::new(),
-            repair_attempts: 0,
-        };
-        let mut server = OptimizerServer::build(config, ShardedEg::from_graphs(vec![eg], None));
-        server.cold = cold;
-        if let Some(quarantine) = &server.quarantine {
-            for (op, (name, failures)) in &qmap {
-                quarantine.restore(*op, name, *failures);
-            }
-            recovery.quarantine_restored = qmap.len();
-        }
-        server.durability = Some(Durability::Legacy(parking_lot::Mutex::new(state)));
-        {
-            let mut stats = server.stats[0].lock();
-            stats.journal_records_replayed = recovery.journal_records_replayed;
-            stats.torn_tail_truncated = usize::from(recovery.torn_tail_truncated);
-        }
-        Ok((server, recovery))
-    }
-
-    /// The sharded (`shards = N`) half of [`open`]: N snapshot/journal
-    /// pairs plus the commit log, replayed to exactly the committed
-    /// prefix by `co_graph::shard::recover_shards`.
-    ///
-    /// [`open`]: OptimizerServer::open
-    fn open_sharded(
-        config: ServerConfig,
-        durability: DurabilityConfig,
-        dedup: bool,
-        mut recovery: RecoveryReport,
-    ) -> Result<(Self, RecoveryReport)> {
-        let n = config.shards;
         let rec = shard::recover_shards(&durability.dir, n, dedup)?;
         if !rec.unresolved_links.is_empty() {
             return Err(GraphError::InvalidStructure(format!(
-                "sharded recovery left {} cross-shard child link(s) unresolved — \
+                "recovery left {} cross-shard child link(s) unresolved — \
                  the data directory is corrupt (run egfsck)",
                 rec.unresolved_links.len()
             )));
@@ -801,15 +704,20 @@ impl OptimizerServer {
         for (path, valid_len, _) in &rec.torn {
             journal::truncate(path, *valid_len)?;
         }
-        recovery.snapshot_loaded =
-            (0..n).any(|k| durability.dir.join(shard::shard_snapshot_file(k)).exists());
-        recovery.journal_records_replayed = rec.deltas_applied;
-        recovery.journal_records_skipped = rec.deltas_skipped;
-        recovery.committed_publishes = rec.committed_publishes;
-        recovery.torn_tail_truncated = !rec.torn.is_empty();
-        recovery.torn_bytes_discarded = rec.torn.iter().map(|(.., b)| *b).sum();
+        let mut recovery = RecoveryReport {
+            snapshot_loaded: (0..n)
+                .any(|k| durability.dir.join(shard::shard_snapshot_file(k)).exists()),
+            journal_records_replayed: rec.deltas_applied,
+            journal_records_skipped: rec.deltas_skipped,
+            committed_publishes: rec.committed_publishes,
+            torn_tail_truncated: !rec.torn.is_empty(),
+            torn_bytes_discarded: rec.torn.iter().map(|(.., b)| *b).sum(),
+            quarantine_restored: 0,
+            stray_tmp_removed,
+        };
 
-        // In debug builds, fsck the recovered shards before serving.
+        // In debug builds, fsck the recovered shards before serving:
+        // recovery bugs surface here, not workloads later.
         #[cfg(debug_assertions)]
         {
             let refs: Vec<&ExperimentGraph> = rec.graphs.iter().collect();
@@ -837,7 +745,7 @@ impl OptimizerServer {
             .cold_columns
             .then(|| ColdStore::open(&durability.cold_dir()))
             .transpose()?;
-        let sharded = ShardedDurability {
+        let durable = Durability {
             config: durability,
             journals,
             commit: parking_lot::Mutex::new(commit),
@@ -859,7 +767,7 @@ impl OptimizerServer {
             }
             recovery.quarantine_restored = qmap.len();
         }
-        server.durability = Some(Durability::Sharded(sharded));
+        server.durability = Some(durable);
         {
             let mut stats = server.stats[0].lock();
             stats.journal_records_replayed = recovery.journal_records_replayed;
@@ -934,41 +842,26 @@ impl OptimizerServer {
 
     /// Pipeline stage 2 (paper step 3): plan reuse against the Experiment
     /// Graph and capture the execution snapshot — planned loads fetched
-    /// up front as Arc clones, warmstart candidates prefetched. The EG
-    /// read lock (every shard's, when sharded) is held only for the
-    /// duration of this call; the returned [`PlannedWorkload`] executes
-    /// without touching the graph.
+    /// up front as Arc clones, warmstart candidates prefetched. Every
+    /// shard's read lock is held only for the duration of this call; the
+    /// returned [`PlannedWorkload`] executes without touching the graph.
     pub fn plan_workload(
         &self,
         pruned: PrunedWorkload,
     ) -> std::result::Result<PlannedWorkload, WorkloadError> {
         let PrunedWorkload { dag } = pruned;
-        if self.eg.n_shards() == 1 {
-            let eg = self.eg.read(0);
-            let start = Instant::now();
-            let plan = self.planner.plan(&dag, &*eg, &self.config.cost);
-            let optimizer_seconds = start.elapsed().as_secs_f64();
-            let snapshot = executor::snapshot(&dag, &plan, &*eg, &self.executor_config())
-                .map_err(WorkloadError::from)?;
-            Ok(PlannedWorkload {
-                dag,
-                snapshot,
-                optimizer_seconds,
-            })
-        } else {
-            let guards = self.eg.read_all();
-            let view = EgView::new(guards.iter().map(|g| &**g).collect());
-            let start = Instant::now();
-            let plan = self.planner.plan(&dag, &view, &self.config.cost);
-            let optimizer_seconds = start.elapsed().as_secs_f64();
-            let snapshot = executor::snapshot(&dag, &plan, &view, &self.executor_config())
-                .map_err(WorkloadError::from)?;
-            Ok(PlannedWorkload {
-                dag,
-                snapshot,
-                optimizer_seconds,
-            })
-        }
+        let guards = self.eg.read_all();
+        let view = EgView::new(guards.iter().map(|g| &**g).collect());
+        let start = Instant::now();
+        let plan = self.planner.plan(&dag, &view, &self.config.cost);
+        let optimizer_seconds = start.elapsed().as_secs_f64();
+        let snapshot = executor::snapshot(&dag, &plan, &view, &self.executor_config())
+            .map_err(WorkloadError::from)?;
+        Ok(PlannedWorkload {
+            dag,
+            snapshot,
+            optimizer_seconds,
+        })
     }
 
     /// Pipeline stage 4 (paper step 5): merge the executed DAG into the
@@ -979,32 +872,19 @@ impl OptimizerServer {
     /// never wait on a running computation. A failed run with a taint
     /// mask still merges (salvages) its untainted prefix.
     ///
-    /// On a durable server ([`OptimizerServer::open`]) the workload's EG
-    /// delta is appended to the write-ahead journal inside the same
-    /// critical section; if that append fails, the workload is reported
-    /// failed and the durability layer wedges — every later persist
-    /// refuses — until the server restarts from its data directory.
+    /// Only the shards the workload's artifacts hash to are
+    /// write-locked, in ascending shard order (two publishers acquiring
+    /// ordered subsets can never deadlock); each vertex merges into its
+    /// owning shard and child links are wired on the parent's shard.
     ///
-    /// On a sharded server only the shards the workload's artifacts hash
-    /// to are write-locked, in ascending shard order (two publishers
-    /// acquiring ordered subsets can never deadlock); each touched
+    /// On a durable server ([`OptimizerServer::open`]) each touched
     /// shard's journal receives its own delta under one shared sequence
-    /// number, and the publish becomes durable exactly when the
-    /// cross-shard commit record lands.
+    /// number inside the same critical section. A publish touching one
+    /// shard is durable when its record lands; a cross-shard publish is
+    /// durable exactly when its commit record lands. If persisting
+    /// fails, the workload is reported failed and the durability layer
+    /// degrades (DESIGN.md §15).
     pub fn publish_workload(
-        &self,
-        executed: ExecutedWorkload,
-    ) -> std::result::Result<(WorkloadDag, ExecutionReport), WorkloadError> {
-        if self.eg.n_shards() == 1 {
-            self.publish_single(executed)
-        } else {
-            self.publish_sharded(executed)
-        }
-    }
-
-    /// The classic single-shard publish: one write lock over the whole
-    /// graph, one journal append.
-    fn publish_single(
         &self,
         executed: ExecutedWorkload,
     ) -> std::result::Result<(WorkloadDag, ExecutionReport), WorkloadError> {
@@ -1022,99 +902,18 @@ impl OptimizerServer {
             report.materializer_seconds = start.elapsed().as_secs_f64();
             return finish_publish(dag, report, failure, Some(error));
         }
-        let mut persist_error = None;
-        {
-            let mut eg = self.eg.write(0);
-            // With durability on, note which merged artifacts are new to
-            // the graph (vs merely touched) and the pre-publish mat set,
-            // so the journal delta can be diffed after the merge.
-            let capture = self
-                .durability
-                .as_ref()
-                .map(|_| DeltaCapture::before(&eg, &dag, failure.as_ref()));
-            match &failure {
-                None => eg.update_with_workload(&dag)?,
-                Some(f) if f.tainted.len() == dag.n_nodes() => {
-                    let keep: Vec<bool> = f.tainted.iter().map(|t| !t).collect();
-                    eg.update_with_workload_partial(&dag, &keep)?;
-                }
-                // Failed before execution (bad plan, no terminals):
-                // nothing to merge.
-                Some(_) => {}
-            }
-            // Executed values merge back as Arc clones: the store and
-            // the returned DAG share the same allocations.
-            let available = available_contents(&dag);
-            self.materializer
-                .run(&mut eg, &available, &self.config.cost);
-            reconcile_restored_flags(&mut eg);
-            if self.cold.is_some() {
-                self.record_recipes(&dag, failure.as_ref());
-                let faults = eg.storage().fault_injector().map(Arc::clone);
-                self.write_cold(&available, faults.as_deref(), |id| {
-                    eg.storage().contains(id)
-                });
-            }
-            let baseline = baseline_cost(&dag, &eg);
-            if let (Some(Durability::Legacy(durability)), Some(capture)) =
-                (&self.durability, capture)
-            {
-                let mut dur = durability.lock();
-                persist_error = self.persist_delta(&eg, &mut dur, &capture).err();
-            }
-            // In debug builds, fsck the graph while still inside the
-            // critical section: an invariant break is pinned to the
-            // publication that introduced it.
-            #[cfg(debug_assertions)]
-            {
-                let fsck = co_graph::fsck::check_graph(&eg);
-                debug_assert!(fsck.is_clean(), "post-publish fsck failed:\n{fsck}");
-            }
-            self.stats[0].lock().fold_publish(
-                &report,
-                baseline,
-                failure.as_ref(),
-                persist_error.is_some(),
-            );
-        }
-        report.materializer_seconds = start.elapsed().as_secs_f64();
-        finish_publish(dag, report, failure, persist_error)
-    }
 
-    /// The sharded publish: write-lock exactly the touched shards in
-    /// ascending order, merge each vertex into its owning shard, wire
-    /// child links on the parent's shard, materialize within a first-fit
-    /// budget scope, and journal per-shard deltas sealed by a
-    /// cross-shard commit record.
-    fn publish_sharded(
-        &self,
-        executed: ExecutedWorkload,
-    ) -> std::result::Result<(WorkloadDag, ExecutionReport), WorkloadError> {
-        let ExecutedWorkload {
-            dag,
-            mut report,
-            failure,
-        } = executed;
-        let start = Instant::now();
-        // Same pre-merge rejection as the single-shard path.
-        if let Some(error) = self.degraded_reject() {
-            self.reject_publish(&report, failure.as_ref(), &error);
-            report.materializer_seconds = start.elapsed().as_secs_f64();
-            return finish_publish(dag, report, failure, Some(error));
-        }
-
-        // Which nodes merge — the same salvage rules as the single-shard
-        // path (None: all; full taint mask: the untainted prefix;
-        // pre-execution failure: nothing).
+        // Which nodes merge: all of a successful run; the untainted
+        // prefix of a run with a full taint mask; nothing of a run that
+        // failed before execution.
         let n_nodes = dag.n_nodes();
         let merged: Vec<bool> = match &failure {
             None => vec![true; n_nodes],
             Some(f) if f.tainted.len() == n_nodes => f.tainted.iter().map(|t| !t).collect(),
             Some(_) => vec![false; n_nodes],
         };
-        // The mask must be ancestor-closed (update_with_workload_partial
-        // enforces the same): child wiring below assumes a kept node's
-        // parents are merged — and therefore locked.
+        // The mask must be ancestor-closed: child wiring below assumes a
+        // kept node's parents are merged — and therefore locked.
         for (i, m) in merged.iter().enumerate() {
             if *m {
                 for p in dag.parents(co_graph::NodeId(i)) {
@@ -1127,25 +926,6 @@ impl OptimizerServer {
             }
         }
 
-        let sharded_dur = match &self.durability {
-            Some(Durability::Sharded(d)) => Some(d),
-            _ => None,
-        };
-
-        // Quarantine records live in shard 0's journal only, so a
-        // pending quarantine diff pulls shard 0 into the lock set. The
-        // diff is recomputed against this same snapshot inside the
-        // critical section (under shard 0's lock).
-        let mut current_quarantine = self
-            .quarantine
-            .as_ref()
-            .map(|q| q.entries())
-            .unwrap_or_default();
-        current_quarantine.sort_by_key(|(op, ..)| *op);
-        let quarantine_dirty = sharded_dur.is_some_and(|d| {
-            quarantine_diff(&current_quarantine, &d.persisted_quarantine.lock()).is_some()
-        });
-
         let mut touched: BTreeSet<usize> = dag
             .nodes()
             .iter()
@@ -1153,7 +933,11 @@ impl OptimizerServer {
             .filter(|(i, _)| merged[*i])
             .map(|(_, node)| self.eg.shard_index(node.artifact))
             .collect();
-        if quarantine_dirty {
+        // At one shard the paper's materializer runs on every publish —
+        // one that merged nothing may still store or evict — so the
+        // shard is always locked. Quarantine records live in shard 0's
+        // journal only, so a pending quarantine change pulls shard 0 in.
+        if self.eg.n_shards() == 1 || self.quarantine_dirty() {
             touched.insert(0);
         }
 
@@ -1176,27 +960,33 @@ impl OptimizerServer {
                 .map(|(gi, k)| (*k, gi))
                 .collect();
 
-            // Pre-merge capture per locked shard: which merged artifacts
-            // are new vs merely touched, and the pre-publish mat sets.
-            let mut new_ids: Vec<Vec<ArtifactId>> = vec![Vec::new(); guards.len()];
-            let mut touched_ids: Vec<Vec<ArtifactId>> = vec![Vec::new(); guards.len()];
-            let mut seen = HashSet::new();
-            for (i, node) in dag.nodes().iter().enumerate() {
-                if merged[i] && seen.insert(node.artifact) {
-                    let gi = pos[&self.eg.shard_index(node.artifact)];
-                    if guards[gi].1.contains(node.artifact) {
-                        touched_ids[gi].push(node.artifact);
-                    } else {
-                        new_ids[gi].push(node.artifact);
+            // Pre-merge capture per locked shard, so each journal delta
+            // can be diffed after the merge. Only a durable server
+            // journals, so an in-memory one skips the capture.
+            let pre: Option<Vec<PreMerge>> = self.durability.is_some().then(|| {
+                let mut pre: Vec<PreMerge> = guards
+                    .iter()
+                    .map(|(_, g)| PreMerge {
+                        mat_before: mat_set(g),
+                        ..PreMerge::default()
+                    })
+                    .collect();
+                let mut seen = HashSet::new();
+                // DAG order is parents-first, so `new_ids` lists new
+                // vertices in an order the journal can replay.
+                for (i, node) in dag.nodes().iter().enumerate() {
+                    if merged[i] && seen.insert(node.artifact) {
+                        let gi = pos[&self.eg.shard_index(node.artifact)];
+                        if guards[gi].1.contains(node.artifact) {
+                            pre[gi].touched_ids.push(node.artifact);
+                        } else {
+                            pre[gi].new_ids.push(node.artifact);
+                        }
                     }
                 }
-            }
-            let mat_before: Vec<BTreeSet<ArtifactId>> =
-                guards.iter().map(|(_, g)| mat_set(g)).collect();
+                pre
+            });
 
-            // Merge every kept node into its owning shard; child links
-            // are wired on the parent's shard (locked, because the mask
-            // is ancestor-closed).
             for (i, node) in dag.nodes().iter().enumerate() {
                 if !merged[i] {
                     continue;
@@ -1212,47 +1002,49 @@ impl OptimizerServer {
                 }
             }
 
+            // Executed values merge back as Arc clones: the store and
+            // the returned DAG share the same allocations.
             let available = available_contents(&dag);
-            self.materialize_sharded(&mut guards, &pos, &dag, &merged, &available);
+            if self.eg.n_shards() == 1 {
+                self.materializer
+                    .run(&mut guards[0].1, &available, &self.config.cost);
+            } else {
+                self.materialize_sharded(&mut guards, &pos, &dag, &merged, &available);
+            }
             for (_, g) in &mut guards {
                 reconcile_restored_flags(g);
             }
             if self.cold.is_some() {
                 self.record_recipes(&dag, failure.as_ref());
-                let faults = guards
-                    .first()
-                    .and_then(|(_, g)| g.storage().fault_injector().map(Arc::clone));
+                let faults = guards[0].1.storage().fault_injector().map(Arc::clone);
                 self.write_cold(&available, faults.as_deref(), |id| {
                     pos.get(&self.eg.shard_index(id))
                         .is_some_and(|gi| guards[*gi].1.storage().contains(id))
                 });
             }
-            let baseline = baseline_cost_with(&dag, |id| {
+            let baseline = baseline_cost(&dag, |id| {
                 pos.get(&self.eg.shard_index(id))
                     .and_then(|gi| guards[*gi].1.vertex(id).ok())
                     .map(|v| v.compute_time)
             });
 
-            if let Some(dur) = sharded_dur {
-                persist_error = self
-                    .persist_sharded(
-                        dur,
-                        &guards,
-                        &new_ids,
-                        &touched_ids,
-                        &mat_before,
-                        &current_quarantine,
-                        quarantine_dirty,
-                    )
-                    .err();
+            if let (Some(dur), Some(pre)) = (&self.durability, &pre) {
+                persist_error = self.persist_publish(dur, &guards, pre).err();
             }
-            // (No per-shard debug fsck here: a lone shard legitimately
-            // holds child links into shards this publish did not lock.
-            // The sharded invariants are checked by `egfsck`, recovery,
-            // and the crash-matrix tests.)
+            // In debug builds, fsck the graph while still inside the
+            // critical section whenever it holds every shard (a lone
+            // shard legitimately links into shards it did not lock): an
+            // invariant break is pinned to the publication that
+            // introduced it.
+            #[cfg(debug_assertions)]
+            if guards.len() == self.eg.n_shards() {
+                let refs: Vec<&ExperimentGraph> = guards.iter().map(|(_, g)| &**g).collect();
+                let fsck = co_graph::fsck::check_shards(&refs, &[]);
+                debug_assert!(fsck.is_clean(), "post-publish fsck failed:\n{fsck}");
+            }
 
-            // Satellite fix: fold the stats while the shard locks are
-            // still held, so stats() can never lag the graph.
+            // Fold the stats while the shard locks are still held, so
+            // stats() can never lag the graph.
             self.stats[shard_list[0]].lock().fold_publish(
                 &report,
                 baseline,
@@ -1264,35 +1056,46 @@ impl OptimizerServer {
 
         // Threshold compaction runs after the publish locks are
         // released: compaction takes every shard lock and parking_lot
-        // locks are not reentrant. Best-effort, like the single-shard
-        // threshold path.
-        if persist_error.is_none() {
-            if let Some(dur) = sharded_dur {
-                if dur.health() == DurabilityHealth::Healthy
-                    && dur
-                        .journals
-                        .iter()
-                        .any(|j| j.lock().len_bytes() > dur.config.compact_journal_bytes)
-                {
-                    let _ = self.compact();
-                }
+        // locks are not reentrant. A failure here is survivable — the
+        // publish is already durable and an interrupted snapshot save
+        // only leaves a temp file — so it is swallowed and the next
+        // publish retries.
+        if let Some(dur) = &self.durability {
+            if persist_error.is_none()
+                && dur.health() == DurabilityHealth::Healthy
+                && dur
+                    .journals
+                    .iter()
+                    .any(|j| j.lock().len_bytes() > dur.config.compact_journal_bytes)
+            {
+                let _ = self.compact();
             }
         }
 
         finish_publish(dag, report, failure, persist_error)
     }
 
-    /// Materialization for sharded publishes. The full utility-ranked
-    /// algorithms walk one whole graph under one lock, which a sharded
-    /// publish deliberately avoids; instead each budgeted materializer
-    /// degrades to first-fit over the publishing workload's computed
-    /// values, admitting a value only when a *lower bound* on global
-    /// usage (the shared column vault plus every locked shard's local
-    /// bytes) leaves room in the budget. `All` stores everything, `None`
-    /// nothing — identical to their single-shard behavior.
+    /// Whether the live quarantine set differs from the persisted one
+    /// (always `false` without durability).
+    fn quarantine_dirty(&self) -> bool {
+        self.durability.as_ref().is_some_and(|d| {
+            let current = sorted_quarantine_entries(self.quarantine.as_deref());
+            quarantine_diff(&current, &d.persisted_quarantine.lock()).is_some()
+        })
+    }
+
+    /// Materialization for publishes over more than one shard. The full
+    /// utility-ranked algorithms walk one whole graph under one lock,
+    /// which a sharded publish deliberately avoids; instead each
+    /// budgeted materializer degrades to first-fit over the publishing
+    /// workload's computed values, admitting a value only when a *lower
+    /// bound* on global usage (the shared column vault plus every locked
+    /// shard's local bytes) leaves room in the budget. `All` stores
+    /// everything, `None` nothing — identical to their one-shard
+    /// behavior.
     fn materialize_sharded(
         &self,
-        guards: &mut [(usize, co_graph::ShardWriteGuard<'_>)],
+        guards: &mut [(usize, ShardWriteGuard<'_>)],
         pos: &HashMap<usize, usize>,
         dag: &WorkloadDag,
         merged: &[bool],
@@ -1335,31 +1138,24 @@ impl OptimizerServer {
         }
     }
 
-    /// Append this publish's per-shard journal deltas and the
-    /// cross-shard commit record. Called with the touched shards'
-    /// write locks held (ascending); journal mutexes are taken in the
-    /// same ascending order, the commit-log mutex last.
-    #[allow(clippy::too_many_arguments)] // lint:reason the sharded persist pipeline threads its full context explicitly
-    fn persist_sharded(
+    /// Build this publish's per-shard journal deltas — diffed against
+    /// the pre-merge capture, plus the quarantine change when shard 0 is
+    /// locked — and make them durable under one sequence number. Called
+    /// with the touched shards' write locks held (ascending).
+    fn persist_publish(
         &self,
-        dur: &ShardedDurability,
-        guards: &[(usize, co_graph::ShardWriteGuard<'_>)],
-        new_ids: &[Vec<ArtifactId>],
-        touched_ids: &[Vec<ArtifactId>],
-        mat_before: &[BTreeSet<ArtifactId>],
-        current_quarantine: &[(OpHash, String, usize)],
-        quarantine_dirty: bool,
+        dur: &Durability,
+        guards: &[(usize, ShardWriteGuard<'_>)],
+        pre: &[PreMerge],
     ) -> Result<()> {
-        if dur.health() == DurabilityHealth::Wedged {
-            return Err(GraphError::Io(WEDGED_MSG.to_owned()));
-        }
-        let mut deltas: Vec<EgDelta> = Vec::with_capacity(guards.len());
-        for (gi, (_, g)) in guards.iter().enumerate() {
+        let mut deltas = Vec::with_capacity(guards.len());
+        let mut quarantine = None;
+        for ((k, g), pre) in guards.iter().zip(pre) {
             let mut delta = EgDelta::default();
-            for id in &new_ids[gi] {
+            for id in &pre.new_ids {
                 delta.new_vertices.push(g.vertex(*id)?.clone());
             }
-            for id in &touched_ids[gi] {
+            for id in &pre.touched_ids {
                 let v = g.vertex(*id)?;
                 delta.touched.push(VertexTouch {
                     id: *id,
@@ -1370,228 +1166,43 @@ impl OptimizerServer {
                 });
             }
             let mat_after = mat_set(g);
-            delta.mat_added = mat_after.difference(&mat_before[gi]).copied().collect();
-            delta.mat_removed = mat_before[gi].difference(&mat_after).copied().collect();
-            deltas.push(delta);
-        }
-        // Quarantine records are confined to shard 0. The diff is
-        // recomputed against the pre-lock snapshot under the persisted
-        // map's lock, which stays held until the commit record lands so
-        // the map only ever advances for durable publishes.
-        let mut persisted = quarantine_dirty.then(|| dur.persisted_quarantine.lock());
-        if let Some(persisted) = &persisted {
-            if let Some((set, cleared)) = quarantine_diff(current_quarantine, persisted) {
-                // quarantine_dirty pulled shard 0 into the (ascending)
-                // lock set, so it is guards[0].
-                debug_assert_eq!(guards[0].0, 0);
-                deltas[0].quarantine_set = set;
-                deltas[0].quarantine_cleared = cleared;
+            delta.mat_added = mat_after.difference(&pre.mat_before).copied().collect();
+            delta.mat_removed = pre.mat_before.difference(&mat_after).copied().collect();
+            // Quarantine records are confined to shard 0. Every publish
+            // that persists a quarantine change holds shard 0's lock, so
+            // the diff against the persisted map cannot race another.
+            if *k == 0 {
+                let current = sorted_quarantine_entries(self.quarantine.as_deref());
+                if let Some((set, cleared)) =
+                    quarantine_diff(&current, &dur.persisted_quarantine.lock())
+                {
+                    delta.quarantine_set = set;
+                    delta.quarantine_cleared = cleared;
+                    quarantine = Some(current.iter().map(|q| (q.op_hash, q.failures)).collect());
+                }
+            }
+            if !delta.is_empty() {
+                deltas.push((*k, delta));
             }
         }
-
+        if deltas.is_empty() {
+            return Ok(());
+        }
         // One sequence number per publish, assigned while every lock in
         // the ordered protocol is held: each shard journal's sequence
         // numbers appear in increasing order.
-        let seq = dur.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        let faults = guards
-            .first()
-            .and_then(|(_, g)| g.storage().fault_injector().map(Arc::clone));
-        let mut pending: Vec<(usize, EgDelta)> = Vec::new();
-        for (gi, (k, _)) in guards.iter().enumerate() {
-            if deltas[gi].is_empty() {
-                continue;
-            }
-            let mut delta = std::mem::take(&mut deltas[gi]);
-            delta.seq = Some(seq);
-            pending.push((*k, delta));
-        }
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let record = CommitRecord {
-            seq,
-            shards: pending
-                .iter()
-                // co-lint:allow(no-panic) shard counts are small configuration values, far below u32::MAX
-                .map(|(k, _)| u32::try_from(*k).expect("shard index fits u32"))
-                .collect(),
-        };
-        // The persisted-quarantine map this publish installs once it is
-        // durable — either immediately below, or at backlog-drain time.
-        let quarantine_target: Option<HashMap<OpHash, usize>> = persisted.is_some().then(|| {
-            current_quarantine
-                .iter()
-                .map(|(op, _, f)| (*op, *f))
-                .collect()
-        });
-
-        // A publish that raced past the entry gate while the layer was
-        // already read-only goes straight to the backlog: its merge is
-        // live in memory, and the (possibly damaged, possibly being
-        // repaired) journals must not be touched from here.
-        if dur.health() == DurabilityHealth::ReadOnly {
-            persisted.take();
-            return Err(self.backlog_sharded(dur, pending, record, quarantine_target));
-        }
-
-        let mut append_error: Option<GraphError> = None;
-        for (i, (k, delta)) in pending.iter().enumerate() {
-            if i > 0 {
-                if let Some(f) = &faults {
-                    if f.take_crash(CrashPoint::ShardGapAppend) {
-                        dur.set_health(DurabilityHealth::Wedged);
-                        return Err(GraphError::Io(
-                            "injected crash at shard-gap-append (between per-shard \
-                             journal appends)"
-                                .to_owned(),
-                        ));
-                    }
-                }
-            }
-            if let Err(e) = dur.journals[*k].lock().append(delta, faults.as_deref()) {
-                append_error = Some(e);
-                break;
-            }
-        }
-        let commit_error = if append_error.is_none() {
-            dur.commit.lock().append(&record, faults.as_deref()).err()
-        } else {
-            None
-        };
-        if let Some(e) = append_error.or(commit_error) {
-            if is_simulated_crash(&e) {
-                dur.set_health(DurabilityHealth::Wedged);
-                return Err(e);
-            }
-            persisted.take();
-            return Err(self.backlog_sharded(dur, pending, record, quarantine_target));
-        }
-        if let (Some(persisted), Some(target)) = (&mut persisted, quarantine_target) {
-            **persisted = target;
-        }
-        Ok(())
+        let publish = PendingPublish::new(dur.next_seq(), deltas, quarantine);
+        let faults = guards[0].1.storage().fault_injector().map(Arc::clone);
+        dur.persist(publish, faults.as_deref())
     }
 
-    /// Move one failed cross-shard publish into the durability backlog
-    /// and degrade to read-only. Called with the shard write locks held
-    /// but *not* the persisted-quarantine guard (dropped by the caller:
-    /// the backlog mutex must never nest inside it — repair holds the
-    /// backlog outermost and takes the quarantine map while draining).
-    fn backlog_sharded(
-        &self,
-        dur: &ShardedDurability,
-        deltas: Vec<(usize, EgDelta)>,
-        record: CommitRecord,
-        quarantine: Option<HashMap<OpHash, usize>>,
-    ) -> GraphError {
-        dur.backlog.lock().push(ShardedBacklog {
-            deltas,
-            record,
-            quarantine,
-        });
-        dur.set_health(DurabilityHealth::ReadOnly);
-        GraphError::read_only(READ_ONLY_RETRY_HINT_MS)
-    }
-
-    /// Build and append this publish's journal delta, then compact if
-    /// the journal crossed its size threshold. Called with the EG write
-    /// lock held and the durability state locked (single-shard layout).
-    fn persist_delta(
-        &self,
-        eg: &ExperimentGraph,
-        dur: &mut DurabilityState,
-        capture: &DeltaCapture,
-    ) -> Result<()> {
-        if dur.health == DurabilityHealth::Wedged {
-            return Err(GraphError::Io(WEDGED_MSG.to_owned()));
-        }
-        let mut delta = EgDelta::default();
-        for id in &capture.new_ids {
-            delta.new_vertices.push(eg.vertex(*id)?.clone());
-        }
-        for id in &capture.touched_ids {
-            let v = eg.vertex(*id)?;
-            delta.touched.push(VertexTouch {
-                id: *id,
-                frequency: v.frequency,
-                compute_time: v.compute_time,
-                size: v.size,
-                quality: v.quality,
-            });
-        }
-        let mat_after = mat_set(eg);
-        delta.mat_added = mat_after.difference(&capture.mat_before).copied().collect();
-        delta.mat_removed = capture.mat_before.difference(&mat_after).copied().collect();
-        let mut current = self
-            .quarantine
-            .as_ref()
-            .map(|q| q.entries())
-            .unwrap_or_default();
-        current.sort_by_key(|(op, ..)| *op);
-        if let Some((set, cleared)) = quarantine_diff(&current, &dur.persisted_quarantine) {
-            delta.quarantine_set = set;
-            delta.quarantine_cleared = cleared;
-        }
-        if delta.is_empty() {
-            return Ok(());
-        }
-        // A publish that raced past the entry gate while read-only:
-        // memory already merged it, so the delta must reach the backlog
-        // (not the damaged journal) for repair to re-append.
-        if dur.health == DurabilityHealth::ReadOnly {
-            dur.backlog.push(delta);
-            return Err(GraphError::read_only(READ_ONLY_RETRY_HINT_MS));
-        }
-        let faults = eg.storage().fault_injector().map(|f| &**f);
-        if let Err(e) = dur.journal.append(&delta, faults) {
-            if is_simulated_crash(&e) {
-                dur.health = DurabilityHealth::Wedged;
-                return Err(e);
-            }
-            // Live I/O failure: keep serving read-only, queue the delta
-            // for repair, and reject this publish retriably.
-            dur.backlog.push(delta);
-            dur.health = DurabilityHealth::ReadOnly;
-            return Err(GraphError::read_only(READ_ONLY_RETRY_HINT_MS));
-        }
-        dur.persisted_quarantine = current
-            .into_iter()
-            .map(|(op, _, failures)| (op, failures))
-            .collect();
-        // Threshold-triggered compaction. A failure here is survivable —
-        // the delta is already durable in the journal and an interrupted
-        // snapshot save only leaves a temp file — so it is swallowed and
-        // the next publish retries.
-        if dur.journal.len_bytes() > dur.config.compact_journal_bytes
-            && self.compact_locked(eg, dur).is_ok()
-        {
-            self.stats[0].lock().snapshots_compacted += 1;
-        }
-        Ok(())
-    }
-
-    /// Write a fresh snapshot (atomically) and truncate the journal.
-    /// The snapshot is renamed into place *before* the journal resets,
-    /// so a crash between the two leaves a newer snapshot plus a journal
-    /// whose records replay idempotently (absolute values).
-    fn compact_locked(&self, eg: &ExperimentGraph, dur: &mut DurabilityState) -> Result<()> {
-        let entries = sorted_quarantine_entries(self.quarantine.as_deref());
-        let faults = eg.storage().fault_injector().map(|f| &**f);
-        snapshot::save_with(eg, &entries, &dur.config.snapshot_path(), faults)?;
-        dur.journal.reset(faults)?;
-        dur.persisted_quarantine = entries.iter().map(|q| (q.op_hash, q.failures)).collect();
-        Ok(())
-    }
-
-    /// Compact durable state now: snapshot the current graph and
-    /// quarantine set atomically, then truncate the journal(s). A no-op
-    /// `Ok(())` on a server without durability.
-    ///
-    /// On a sharded server this takes every shard's write lock, writes
-    /// one watermarked snapshot per shard, resets the per-shard
-    /// journals, and resets the commit log *last*: a crash anywhere in
-    /// between leaves snapshots whose watermarks already cover every
-    /// committed sequence number, so replay skips the stale records.
+    /// Compact durable state now: take every shard's write lock, write
+    /// one watermarked snapshot per shard (the quarantine set in shard
+    /// 0's), reset the per-shard journals, and reset the commit log
+    /// *last*: a crash anywhere in between leaves snapshots whose
+    /// watermarks already cover every committed sequence number, so
+    /// replay skips the stale records. A no-op `Ok(())` on a server
+    /// without durability.
     pub fn compact(&self) -> Result<()> {
         match self.durability_health() {
             DurabilityHealth::Healthy => {}
@@ -1600,51 +1211,36 @@ impl OptimizerServer {
             }
             DurabilityHealth::Wedged => return Err(GraphError::Io(WEDGED_MSG.to_owned())),
         }
-        match &self.durability {
-            None => Ok(()),
-            Some(Durability::Legacy(durability)) => {
-                {
-                    let eg = self.eg.read(0);
-                    let mut dur = durability.lock();
-                    self.compact_locked(&eg, &mut dur)?;
-                }
-                self.stats[0].lock().snapshots_compacted += 1;
-                Ok(())
+        let Some(dur) = &self.durability else {
+            return Ok(());
+        };
+        {
+            let guards = self.eg.write_all();
+            // Every sequence number at or below the counter belongs to a
+            // finished publish (publishers hold their shard locks from
+            // seq assignment to commit, and we hold all of them).
+            let watermark = dur.seq.load(Ordering::SeqCst);
+            let entries = sorted_quarantine_entries(self.quarantine.as_deref());
+            let faults = guards[0].storage().fault_injector().map(Arc::clone);
+            for (k, g) in guards.iter().enumerate() {
+                let q: &[QuarantineEntry] = if k == 0 { &entries } else { &[] };
+                snapshot::save_shard_with(
+                    g,
+                    q,
+                    watermark,
+                    &dur.config.dir.join(shard::shard_snapshot_file(k)),
+                    faults.as_deref(),
+                )?;
             }
-            Some(Durability::Sharded(dur)) => {
-                {
-                    let guards = self.eg.write_all();
-                    // Every sequence number at or below the counter
-                    // belongs to a finished publish (publishers hold
-                    // their shard locks from seq assignment to commit,
-                    // and we hold all of them).
-                    let watermark = dur.seq.load(Ordering::SeqCst);
-                    let entries = sorted_quarantine_entries(self.quarantine.as_deref());
-                    let faults = guards
-                        .first()
-                        .and_then(|g| g.storage().fault_injector().map(Arc::clone));
-                    for (k, g) in guards.iter().enumerate() {
-                        // Quarantine entries persist in shard 0 only.
-                        let q: &[QuarantineEntry] = if k == 0 { &entries } else { &[] };
-                        snapshot::save_shard_with(
-                            g,
-                            q,
-                            watermark,
-                            &dur.config.dir.join(shard::shard_snapshot_file(k)),
-                            faults.as_deref(),
-                        )?;
-                    }
-                    for journal in &dur.journals {
-                        journal.lock().reset(faults.as_deref())?;
-                    }
-                    dur.commit.lock().reset(faults.as_deref())?;
-                    *dur.persisted_quarantine.lock() =
-                        entries.iter().map(|q| (q.op_hash, q.failures)).collect();
-                }
-                self.stats[0].lock().snapshots_compacted += 1;
-                Ok(())
+            for journal in &dur.journals {
+                journal.lock().reset(faults.as_deref())?;
             }
+            dur.commit.lock().reset(faults.as_deref())?;
+            *dur.persisted_quarantine.lock() =
+                entries.iter().map(|q| (q.op_hash, q.failures)).collect();
         }
+        self.stats[0].lock().snapshots_compacted += 1;
+        Ok(())
     }
 
     /// Graceful-drain hook: flush all durable state to disk — snapshot
@@ -1667,11 +1263,9 @@ impl OptimizerServer {
     /// durability (nothing can be behind).
     #[must_use]
     pub fn durability_health(&self) -> DurabilityHealth {
-        match &self.durability {
-            None => DurabilityHealth::Healthy,
-            Some(Durability::Legacy(d)) => d.lock().health,
-            Some(Durability::Sharded(d)) => d.health(),
-        }
+        self.durability
+            .as_ref()
+            .map_or(DurabilityHealth::Healthy, Durability::health)
     }
 
     /// Whether durability is wedged — the terminal state after
@@ -1686,11 +1280,9 @@ impl OptimizerServer {
     /// Publish deltas queued in memory awaiting repair (0 when healthy).
     #[must_use]
     pub fn backlog_len(&self) -> usize {
-        match &self.durability {
-            None => 0,
-            Some(Durability::Legacy(d)) => d.lock().backlog.len(),
-            Some(Durability::Sharded(d)) => d.backlog.lock().len(),
-        }
+        self.durability
+            .as_ref()
+            .map_or(0, |d| d.backlog.lock().len())
     }
 
     /// The publish-entry health gate: `None` lets the publish proceed.
@@ -1766,69 +1358,39 @@ impl OptimizerServer {
     /// must not: a publish storm during a long disk outage would wedge
     /// a server that was going to recover).
     fn repair(&self, counted: bool) -> Result<bool> {
-        let Some(durability) = &self.durability else {
+        let Some(dur) = &self.durability else {
             return Ok(false);
         };
         let faults = {
             let g = self.eg.read(0);
             g.storage().fault_injector().map(Arc::clone)
         };
-        match durability {
-            Durability::Legacy(d) => {
-                let mut dur = d.lock();
-                match dur.health {
-                    DurabilityHealth::Healthy => return Ok(false),
-                    DurabilityHealth::Wedged => return Err(GraphError::Io(WEDGED_MSG.to_owned())),
-                    DurabilityHealth::ReadOnly => {}
-                }
-                self.stats[0].lock().repair_attempts += 1;
-                match repair_single(&mut dur, faults.as_deref()) {
-                    Ok(()) => {
-                        dur.health = DurabilityHealth::Healthy;
-                        dur.repair_attempts = 0;
-                        self.stats[0].lock().repairs_succeeded += 1;
-                        Ok(true)
-                    }
-                    Err(e) => {
-                        if counted {
-                            dur.repair_attempts += 1;
-                            if dur.repair_attempts >= dur.config.max_repair_attempts {
-                                dur.health = DurabilityHealth::Wedged;
-                            }
-                        }
-                        Err(e)
-                    }
-                }
+        // The backlog mutex is the repair critical section: it
+        // serializes concurrent repairers and keeps the drain atomic
+        // with respect to them. Publishers never take it while holding
+        // journal or quarantine locks.
+        let mut backlog = dur.backlog.lock();
+        match dur.health() {
+            DurabilityHealth::Healthy => return Ok(false),
+            DurabilityHealth::Wedged => return Err(GraphError::Io(WEDGED_MSG.to_owned())),
+            DurabilityHealth::ReadOnly => {}
+        }
+        self.stats[0].lock().repair_attempts += 1;
+        match repair_journals(dur, &mut backlog, faults.as_deref()) {
+            Ok(()) => {
+                dur.set_health(DurabilityHealth::Healthy);
+                dur.repair_attempts.store(0, Ordering::SeqCst);
+                self.stats[0].lock().repairs_succeeded += 1;
+                Ok(true)
             }
-            Durability::Sharded(dur) => {
-                // The backlog mutex is the repair critical section: it
-                // serializes concurrent repairers and keeps the drain
-                // atomic with respect to them. Publishers never take it
-                // while holding journal or quarantine locks.
-                let mut backlog = dur.backlog.lock();
-                match dur.health() {
-                    DurabilityHealth::Healthy => return Ok(false),
-                    DurabilityHealth::Wedged => return Err(GraphError::Io(WEDGED_MSG.to_owned())),
-                    DurabilityHealth::ReadOnly => {}
-                }
-                self.stats[0].lock().repair_attempts += 1;
-                match repair_sharded(dur, &mut backlog, faults.as_deref()) {
-                    Ok(()) => {
-                        dur.set_health(DurabilityHealth::Healthy);
-                        dur.repair_attempts.store(0, Ordering::SeqCst);
-                        self.stats[0].lock().repairs_succeeded += 1;
-                        Ok(true)
-                    }
-                    Err(e) => {
-                        if counted {
-                            let attempts = dur.repair_attempts.fetch_add(1, Ordering::SeqCst) + 1;
-                            if attempts >= dur.config.max_repair_attempts {
-                                dur.set_health(DurabilityHealth::Wedged);
-                            }
-                        }
-                        Err(e)
+            Err(e) => {
+                if counted {
+                    let attempts = dur.repair_attempts.fetch_add(1, Ordering::SeqCst) + 1;
+                    if attempts >= dur.config.max_repair_attempts {
+                        dur.set_health(DurabilityHealth::Wedged);
                     }
                 }
+                Err(e)
             }
         }
     }
@@ -1972,26 +1534,15 @@ impl OptimizerServer {
     /// executing anything or touching the graph.
     pub fn explain(&self, mut dag: WorkloadDag) -> Result<String> {
         dag.prune()?;
-        if self.eg.n_shards() == 1 {
-            let eg = self.eg.read(0);
-            let plan = self.planner.plan(&dag, &*eg, &self.config.cost);
-            Ok(crate::optimizer::explain_plan(
-                &dag,
-                &*eg,
-                &self.config.cost,
-                &plan,
-            ))
-        } else {
-            let guards = self.eg.read_all();
-            let view = EgView::new(guards.iter().map(|g| &**g).collect());
-            let plan = self.planner.plan(&dag, &view, &self.config.cost);
-            Ok(crate::optimizer::explain_plan(
-                &dag,
-                &view,
-                &self.config.cost,
-                &plan,
-            ))
-        }
+        let guards = self.eg.read_all();
+        let view = EgView::new(guards.iter().map(|g| &**g).collect());
+        let plan = self.planner.plan(&dag, &view, &self.config.cost);
+        Ok(crate::optimizer::explain_plan(
+            &dag,
+            &view,
+            &self.config.cost,
+            &plan,
+        ))
     }
 
     /// Number of Experiment Graph lock shards (1 = unsharded).
@@ -2040,7 +1591,7 @@ impl OptimizerServer {
     ///
     /// Panics on a sharded server (shards > 1) — iterate
     /// [`shards`](OptimizerServer::shards) instead.
-    pub fn eg_mut(&self) -> co_graph::ShardWriteGuard<'_> {
+    pub fn eg_mut(&self) -> ShardWriteGuard<'_> {
         assert_eq!(
             self.eg.n_shards(),
             1,
@@ -2075,77 +1626,28 @@ impl OptimizerServer {
     /// Evict one artifact's content from the store (returns bytes
     /// freed). Reuse plans drawn before the eviction degrade to
     /// recomputation via the executor's load-miss fallback. On a durable
-    /// server the mat-flag change is journaled (and, sharded, committed)
-    /// so a restart does not resurrect the flag.
+    /// server the mat-flag change is journaled — one self-committing
+    /// record on the artifact's shard — so a restart does not resurrect
+    /// the flag. A wedged layer drops the record: the restart that
+    /// un-wedges it resurrects the flag and the next access re-evicts —
+    /// consistent, cheap.
     pub fn evict_artifact(&self, id: ArtifactId) -> u64 {
         let k = self.eg.shard_index(id);
         let mut eg = self.eg.write(k);
         let bytes = eg.storage_mut().evict(id);
         let was_restored = eg.unmark_restored_materialized(id);
         if bytes > 0 || was_restored {
+            let faults = eg.storage().fault_injector().map(Arc::clone);
             if let Some(cold) = &self.cold {
-                let faults = eg.storage().fault_injector().map(Arc::clone);
                 let _ = cold.remove(id, faults.as_deref());
             }
-            match &self.durability {
-                None => {}
-                Some(Durability::Legacy(durability)) => {
-                    let mut dur = durability.lock();
-                    let delta = EgDelta {
-                        mat_removed: vec![id],
-                        ..EgDelta::default()
-                    };
-                    match dur.health {
-                        // A wedged layer drops the record: the restart
-                        // that un-wedges it resurrects the mat flag and
-                        // the next access re-evicts — consistent, cheap.
-                        DurabilityHealth::Wedged => {}
-                        DurabilityHealth::ReadOnly => dur.backlog.push(delta),
-                        DurabilityHealth::Healthy => {
-                            let faults = eg.storage().fault_injector().map(|f| &**f);
-                            if let Err(e) = dur.journal.append(&delta, faults) {
-                                if is_simulated_crash(&e) {
-                                    dur.health = DurabilityHealth::Wedged;
-                                } else {
-                                    dur.backlog.push(delta);
-                                    dur.health = DurabilityHealth::ReadOnly;
-                                }
-                            }
-                        }
-                    }
-                }
-                Some(Durability::Sharded(dur)) => {
-                    if dur.health() == DurabilityHealth::Wedged {
-                        return bytes;
-                    }
-                    let seq = dur.seq.fetch_add(1, Ordering::SeqCst) + 1;
-                    let delta = EgDelta {
-                        seq: Some(seq),
-                        mat_removed: vec![id],
-                        ..EgDelta::default()
-                    };
-                    let record = CommitRecord {
-                        seq,
-                        // co-lint:allow(no-panic) shard counts are small configuration values, far below u32::MAX
-                        shards: vec![u32::try_from(k).expect("shard index fits u32")],
-                    };
-                    if dur.health() == DurabilityHealth::ReadOnly {
-                        let _ = self.backlog_sharded(dur, vec![(k, delta)], record, None);
-                        return bytes;
-                    }
-                    let faults = eg.storage().fault_injector().map(Arc::clone);
-                    let append = dur.journals[k]
-                        .lock()
-                        .append(&delta, faults.as_deref())
-                        .and_then(|()| dur.commit.lock().append(&record, faults.as_deref()));
-                    if let Err(e) = append {
-                        if is_simulated_crash(&e) {
-                            dur.set_health(DurabilityHealth::Wedged);
-                        } else {
-                            let _ = self.backlog_sharded(dur, vec![(k, delta)], record, None);
-                        }
-                    }
-                }
+            if let Some(dur) = &self.durability {
+                let delta = EgDelta {
+                    mat_removed: vec![id],
+                    ..EgDelta::default()
+                };
+                let publish = PendingPublish::new(dur.next_seq(), vec![(k, delta)], None);
+                let _ = dur.persist(publish, faults.as_deref());
             }
         }
         bytes
@@ -2201,56 +1703,36 @@ fn finish_publish(
 }
 
 /// Best-effort sweep of stray `.tmp` files (interrupted atomic
-/// snapshot saves) from a data directory. Losing the sweep to an I/O
-/// error is harmless — recovery ignores temp files anyway.
-fn remove_stray_tmps(dir: &Path) {
+/// snapshot saves) from a data directory; returns how many it removed.
+/// Losing the sweep to an I/O error is harmless — recovery ignores temp
+/// files anyway.
+fn remove_stray_tmps(dir: &Path) -> usize {
     let Ok(entries) = co_graph::vfs::read_dir_sorted(dir, None) else {
-        return;
+        return 0;
     };
-    for path in entries {
-        if path.to_string_lossy().ends_with(".tmp") {
-            let _ = co_graph::vfs::remove_file(&path, None);
-        }
-    }
+    entries
+        .iter()
+        .filter(|path| {
+            path.to_string_lossy().ends_with(".tmp")
+                && co_graph::vfs::remove_file(path, None).is_ok()
+        })
+        .count()
 }
 
-/// One repair pass over the single-shard durability layer: sweep stray
-/// temp files, truncate any torn journal tail the failed write left,
-/// reopen the journal on a fresh handle (a failed fsync poisons the old
-/// one — fsyncgate — so the *handle itself* must be replaced), then
-/// re-append the backlog front-first and sync. A failure part-way is
-/// safe: the drained prefix is durable, the rest stays backlogged.
-fn repair_single(dur: &mut DurabilityState, faults: Option<&FaultInjector>) -> Result<()> {
-    remove_stray_tmps(&dur.config.dir);
-    let path = dur.config.journal_path();
-    let outcome = journal::replay_with(&path, faults)?;
-    if let Some(valid_len) = outcome.torn_at {
-        journal::truncate_with(&path, valid_len, faults)?;
-    }
-    dur.journal = Journal::open_with(&path, dur.config.fsync, faults)?;
-    while !dur.backlog.is_empty() {
-        dur.journal.append(&dur.backlog[0], faults)?;
-        let delta = dur.backlog.remove(0);
-        for q in &delta.quarantine_set {
-            dur.persisted_quarantine.insert(q.op_hash, q.failures);
-        }
-        for h in &delta.quarantine_cleared {
-            dur.persisted_quarantine.remove(h);
-        }
-    }
-    dur.journal.sync(faults)
-}
-
-/// One repair pass over the sharded durability layer (the backlog
-/// mutex is held by the caller — it is the repair critical section).
-/// Same shape as [`repair_single`] per shard journal plus the commit
-/// log, then the backlog drains in publish (sequence) order: entries
-/// can arrive out of order under concurrent failing publishers. A
-/// partially drained entry re-appends in full next pass — journal
-/// replay is idempotent and duplicate commit seqs are harmless.
-fn repair_sharded(
-    dur: &ShardedDurability,
-    backlog: &mut Vec<ShardedBacklog>,
+/// One repair pass over the durability layer (the backlog mutex is held
+/// by the caller — it is the repair critical section): sweep stray temp
+/// files, truncate any torn tail a failed write left in a journal or
+/// the commit log, reopen each on a fresh handle (a failed fsync
+/// poisons the old one — fsyncgate — so the *handle itself* must be
+/// replaced), then re-append the backlog in publish (sequence) order —
+/// entries can arrive out of order under concurrent failing publishers
+/// — and sync. A failure part-way is safe: the drained prefix is
+/// durable, and a partially drained entry re-appends in full next pass
+/// (journal replay is idempotent and duplicate commit seqs are
+/// harmless).
+fn repair_journals(
+    dur: &Durability,
+    backlog: &mut Vec<PendingPublish>,
     faults: Option<&FaultInjector>,
 ) -> Result<()> {
     let dir = &dur.config.dir;
@@ -2269,17 +1751,10 @@ fn repair_sharded(
         journal::truncate_with(&commit_path, valid_len, faults)?;
     }
     *dur.commit.lock() = CommitLog::open_with(&commit_path, faults)?;
-    backlog.sort_by_key(|e| e.record.seq);
-    while !backlog.is_empty() {
-        {
-            let entry = &backlog[0];
-            for (k, delta) in &entry.deltas {
-                dur.journals[*k].lock().append(delta, faults)?;
-            }
-            dur.commit.lock().append(&entry.record, faults)?;
-        }
-        let entry = backlog.remove(0);
-        if let Some(q) = entry.quarantine {
+    backlog.sort_by_key(|p| p.seq);
+    while let Some(publish) = backlog.first() {
+        dur.append(publish, faults)?;
+        if let Some(q) = backlog.remove(0).quarantine {
             *dur.persisted_quarantine.lock() = q;
         }
     }
@@ -2289,62 +1764,29 @@ fn repair_sharded(
     Ok(())
 }
 
-/// What the publish path notes *before* merging a workload, so the
+/// What a publish notes per locked shard *before* merging, so the
 /// journal delta can be diffed afterwards: which merged artifacts are
-/// new to the graph vs merely touched, and the pre-publish mat set.
-struct DeltaCapture {
+/// new to the shard vs merely touched, and the pre-publish mat set.
+#[derive(Default)]
+struct PreMerge {
     new_ids: Vec<ArtifactId>,
     touched_ids: Vec<ArtifactId>,
     mat_before: BTreeSet<ArtifactId>,
-}
-
-impl DeltaCapture {
-    fn before(eg: &ExperimentGraph, dag: &WorkloadDag, failure: Option<&FailedExecution>) -> Self {
-        let merged = |i: usize| match failure {
-            None => true,
-            Some(f) if f.tainted.len() == dag.n_nodes() => !f.tainted[i],
-            Some(_) => false,
-        };
-        let mut new_ids = Vec::new();
-        let mut touched_ids = Vec::new();
-        let mut seen = HashSet::new();
-        // DAG order is parents-first, so `new_ids` lists new vertices in
-        // an order the journal can replay with restore_vertex.
-        for (i, node) in dag.nodes().iter().enumerate() {
-            if merged(i) && seen.insert(node.artifact) {
-                if eg.contains(node.artifact) {
-                    touched_ids.push(node.artifact);
-                } else {
-                    new_ids.push(node.artifact);
-                }
-            }
-        }
-        DeltaCapture {
-            new_ids,
-            touched_ids,
-            mat_before: mat_set(eg),
-        }
-    }
 }
 
 /// Diff the live quarantine snapshot against the last persisted map:
 /// `Some((set, cleared))` when any entry changed or vanished, `None`
 /// when the persisted state is already current.
 fn quarantine_diff(
-    current: &[(OpHash, String, usize)],
+    current: &[QuarantineEntry],
     persisted: &HashMap<OpHash, usize>,
 ) -> Option<(Vec<QuarantineEntry>, Vec<OpHash>)> {
-    let mut set = Vec::new();
-    for (op, name, failures) in current {
-        if persisted.get(op) != Some(failures) {
-            set.push(QuarantineEntry {
-                op_hash: *op,
-                name: name.clone(),
-                failures: *failures,
-            });
-        }
-    }
-    let current_ops: HashSet<OpHash> = current.iter().map(|(op, ..)| *op).collect();
+    let set: Vec<QuarantineEntry> = current
+        .iter()
+        .filter(|q| persisted.get(&q.op_hash) != Some(&q.failures))
+        .cloned()
+        .collect();
+    let current_ops: HashSet<OpHash> = current.iter().map(|q| q.op_hash).collect();
     let mut cleared: Vec<OpHash> = persisted
         .keys()
         .filter(|op| !current_ops.contains(op))
@@ -2409,15 +1851,10 @@ fn available_contents(dag: &WorkloadDag) -> HashMap<ArtifactId, Value> {
 
 /// Estimate what this submission would have cost with no reuse at all —
 /// the sum of recorded compute times over every (distinct) node the
-/// terminals require. Called inside the publish critical section so the
-/// graph cannot change under the walk.
-fn baseline_cost(dag: &WorkloadDag, eg: &ExperimentGraph) -> f64 {
-    baseline_cost_with(dag, |id| eg.vertex(id).ok().map(|v| v.compute_time))
-}
-
-/// [`baseline_cost`] with a pluggable vertex lookup, so the sharded
-/// publish path can resolve compute times across its locked shards.
-fn baseline_cost_with(dag: &WorkloadDag, lookup: impl Fn(ArtifactId) -> Option<f64>) -> f64 {
+/// terminals require, resolving unannotated nodes through `lookup` (the
+/// locked shards' vertices). Called inside the publish critical section
+/// so the graph cannot change under the walk.
+fn baseline_cost(dag: &WorkloadDag, lookup: impl Fn(ArtifactId) -> Option<f64>) -> f64 {
     let mut baseline = 0.0;
     let mut visited = vec![false; dag.n_nodes()];
     let mut stack: Vec<usize> = dag.terminals().iter().map(|t| t.0).collect();
@@ -2596,14 +2033,6 @@ mod tests {
             assert!(guards[k].contains(node.artifact));
         }
         assert_eq!(server.stats().workloads, 4);
-    }
-
-    #[test]
-    fn with_graph_rejects_sharded_config() {
-        let mut config = ServerConfig::collaborative(u64::MAX);
-        config.shards = 4;
-        let eg = ExperimentGraph::new(true);
-        assert!(OptimizerServer::with_graph(config, eg).is_err());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! [`replay`]s the journal on top of it, stopping at — and truncating —
 //! the first torn record instead of failing.
 //!
-//! ## File format (`EGWAL 1`)
+//! ## File format (`EGWAL 2`)
 //!
-//! An 8-byte magic (`b"EGWAL 1\n"`) followed by records:
+//! An 8-byte magic (`b"EGWAL 2\n"`) followed by records:
 //!
 //! ```text
 //! [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
@@ -23,7 +23,7 @@
 //!
 //! | line | meaning |
 //! |------|---------|
-//! | `S\t<seq>` | publish sequence number (sharded layout only) |
+//! | `S\t<seq>\t<shards>` | publish sequence number and how many shards the publish touched |
 //! | `V\t<10 vertex fields>` | a vertex new to the graph |
 //! | `F\t<id>\t<freq>\t<t>\t<s>\t<q>` | refreshed absolute attributes of an existing vertex |
 //! | `M+\t<id>` / `M-\t<id>` | artifact content materialized / evicted |
@@ -34,18 +34,21 @@
 //! window between snapshot rename and journal truncation during
 //! compaction — is idempotent.
 //!
-//! ## Sharded layout: the cross-shard commit log (`EGCMT 1`)
+//! ## Commit rule and the cross-shard commit log (`EGCMT 1`)
 //!
-//! With the Experiment Graph split into N lock shards, each shard owns
-//! one journal (`eg-<k>.wal`) and a publish spanning several shards
-//! appends one record per touched shard, all tagged with the same
-//! publish sequence number (`S` line). Atomicity across those appends
-//! is decided by a separate *commit log* (`eg.commit`): after the last
-//! per-shard append, one [`CommitRecord`] naming the sequence number
-//! and the touched shards is appended. Recovery replays the commit log
-//! first and then skips any per-shard record whose sequence number was
-//! never committed — a crash between per-shard appends (or before the
-//! commit record) therefore rolls the whole publish back, exactly.
+//! The Experiment Graph is split into N ≥ 1 lock shards, each owning
+//! one journal (`eg-<k>.wal`). Every record opens with its `S` line: the
+//! publish sequence number and the number of shards the publish
+//! touched. A publish touching **one** shard — every publish at N = 1 —
+//! is committed by its own CRC-framed record: one append, one fsync.
+//! A publish spanning several shards appends one record per touched
+//! shard under the same sequence number, and atomicity across those
+//! appends is decided by a separate *commit log* (`eg.commit`): after
+//! the last per-shard append, one [`CommitRecord`] naming the sequence
+//! number and the touched shards is appended. Recovery applies a record
+//! iff it touched one shard or its sequence number is in the commit
+//! log — a crash between per-shard appends (or before the commit
+//! record) therefore rolls the whole publish back, exactly.
 
 use crate::artifact::ArtifactId;
 use crate::error::{GraphError, Result};
@@ -57,7 +60,11 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every journal file.
-pub const WAL_MAGIC: &[u8; 8] = b"EGWAL 1\n";
+pub const WAL_MAGIC: &[u8; 8] = b"EGWAL 2\n";
+
+/// Magic of the earlier journal format, whose `S` line carried no shard
+/// count. It is recognised only to reject it with a clear message.
+const OLD_WAL_MAGIC: &[u8; 8] = b"EGWAL 1\n";
 
 /// Magic bytes opening every cross-shard commit log.
 pub const COMMIT_MAGIC: &[u8; 8] = b"EGCMT 1\n";
@@ -139,9 +146,13 @@ pub struct VertexTouch {
 /// of journaling and replay.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EgDelta {
-    /// Publish sequence number (sharded layout only; `None` in the
-    /// single-journal layout, keeping its encoding bit-identical).
-    pub seq: Option<u64>,
+    /// Publish sequence number, shared by every per-shard record of one
+    /// publish.
+    pub seq: u64,
+    /// How many shards the publish wrote a record to. A record with
+    /// `shards_touched == 1` commits itself; any other needs its
+    /// sequence number in the commit log.
+    pub shards_touched: u32,
     /// Vertices this workload added, in parents-first order.
     pub new_vertices: Vec<EgVertex>,
     /// Existing vertices it touched (absolute values, replay-idempotent).
@@ -168,13 +179,18 @@ impl EgDelta {
             && self.quarantine_cleared.is_empty()
     }
 
+    /// Whether this record is committed by itself (its publish touched
+    /// exactly one shard) rather than by a commit-log record.
+    #[must_use]
+    pub fn commits_itself(&self) -> bool {
+        self.shards_touched == 1
+    }
+
     /// Serialise the delta to its journal-payload text.
     #[must_use]
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        if let Some(seq) = self.seq {
-            let _ = writeln!(out, "S\t{seq:x}");
-        }
+        let _ = writeln!(out, "S\t{:x}\t{:x}", self.seq, self.shards_touched);
         for v in &self.new_vertices {
             let _ = writeln!(out, "V\t{}", vertex_fields(v));
         }
@@ -207,41 +223,29 @@ impl EgDelta {
     }
 
     /// Parse a journal payload. `origin` and `record` (1-based) name the
-    /// file and record in any error.
+    /// file and record in any error; a payload without its `S` line is
+    /// malformed.
     pub fn decode(payload: &str, origin: &str, record: usize) -> Result<EgDelta> {
         let ctx = ParseCtx { origin, record };
         let mut delta = EgDelta::default();
+        let mut has_seq = false;
         for line in payload.lines() {
             if line.is_empty() {
                 continue;
             }
             let fields: Vec<&str> = line.split('\t').collect();
             match fields[0] {
-                "S" if fields.len() == 2 => {
-                    delta.seq = Some(
-                        u64::from_str_radix(fields[1], 16)
-                            .map_err(|_| ctx.err("bad sequence number in S entry"))?,
-                    );
+                "S" if fields.len() == 3 && !has_seq => {
+                    has_seq = true;
+                    delta.seq = u64::from_str_radix(fields[1], 16)
+                        .map_err(|_| ctx.err("bad sequence number in S entry"))?;
+                    delta.shards_touched = u32::from_str_radix(fields[2], 16)
+                        .map_err(|_| ctx.err("bad shard count in S entry"))?;
                 }
                 "V" if fields.len() == 11 => {
                     delta
                         .new_vertices
                         .push(parse_vertex_fields(&fields[1..], &ctx)?);
-                }
-                "F" if fields.len() == 5 => {
-                    delta.touched.push(VertexTouch {
-                        id: parse_id(fields[1], &ctx)?,
-                        frequency: fields[2]
-                            .parse()
-                            .map_err(|_| ctx.err("bad frequency in F entry"))?,
-                        compute_time: fields[3]
-                            .parse()
-                            .map_err(|_| ctx.err("bad compute time in F entry"))?,
-                        size: fields[4]
-                            .parse()
-                            .map_err(|_| ctx.err("bad size in F entry"))?,
-                        quality: 0.0,
-                    });
                 }
                 "F" if fields.len() == 6 => {
                     delta.touched.push(VertexTouch {
@@ -284,49 +288,21 @@ impl EgDelta {
                 }
             }
         }
+        if !has_seq {
+            return Err(ctx.err("journal record has no S entry"));
+        }
         Ok(delta)
     }
 
-    /// Apply the delta to a graph during recovery. New vertices are
-    /// inserted (parents must precede them, as the publish order
-    /// guarantees); vertices that already exist — replay over a snapshot
-    /// taken after this record — have their absolute attributes
-    /// overwritten, so application is idempotent. Materialization
-    /// changes land in the graph's restored-materialization set (content
-    /// itself is never persisted; see `crate::snapshot`).
-    pub fn apply(&self, eg: &mut ExperimentGraph) -> Result<()> {
-        for v in &self.new_vertices {
-            if eg.contains(v.id) {
-                let dst = eg.vertex_mut(v.id)?;
-                dst.frequency = v.frequency;
-                dst.compute_time = v.compute_time;
-                dst.size = v.size;
-                dst.quality = v.quality;
-            } else {
-                eg.restore_vertex(v.clone())?;
-            }
-        }
-        for t in &self.touched {
-            let dst = eg.vertex_mut(t.id)?;
-            dst.frequency = t.frequency;
-            dst.compute_time = t.compute_time;
-            dst.size = t.size;
-            dst.quality = t.quality;
-        }
-        for id in &self.mat_added {
-            eg.mark_restored_materialized(*id);
-        }
-        for id in &self.mat_removed {
-            eg.unmark_restored_materialized(*id);
-        }
-        Ok(())
-    }
-
-    /// Apply the delta to *one shard* of a sharded graph during
-    /// recovery. Same semantics as [`EgDelta::apply`] except that new
-    /// vertices are inserted without lineage resolution — their parents
-    /// may live in other shards, and children links are rebuilt by the
-    /// recovery rewire pass afterwards.
+    /// Apply the delta to its shard during recovery. New vertices are
+    /// inserted without lineage resolution — their parents may live in
+    /// other shards, and children links are rebuilt by the recovery
+    /// rewire pass afterwards; vertices that already exist — replay over
+    /// a snapshot taken after this record — have their absolute
+    /// attributes overwritten, so application is idempotent.
+    /// Materialization changes land in the graph's
+    /// restored-materialization set (content itself is never persisted;
+    /// see `crate::snapshot`).
     pub fn apply_to_shard(&self, eg: &mut ExperimentGraph) -> Result<()> {
         for v in &self.new_vertices {
             if eg.contains(v.id) {
@@ -364,6 +340,27 @@ fn parse_id(field: &str, ctx: &ParseCtx<'_>) -> Result<ArtifactId> {
 
 fn io_err(what: &str, path: &Path, e: &std::io::Error) -> GraphError {
     GraphError::Io(format!("cannot {what} journal {}: {e}", path.display()))
+}
+
+/// Accept only the current journal magic. An `EGWAL 1` journal is a
+/// format error, not corruption: its records lack the shard count the
+/// commit rule needs, so it cannot be replayed.
+fn check_magic(path: &Path, magic: &[u8]) -> Result<()> {
+    if magic == WAL_MAGIC {
+        Ok(())
+    } else if magic == OLD_WAL_MAGIC {
+        Err(GraphError::InvalidStructure(format!(
+            "journal {} uses the EGWAL 1 format, which is no longer supported \
+             (its records carry no shard count)",
+            path.display()
+        )))
+    } else {
+        Err(GraphError::corrupt(
+            path.display().to_string(),
+            0,
+            format!("bad journal magic {magic:?}"),
+        ))
+    }
 }
 
 fn crash_err(point: CrashPoint) -> GraphError {
@@ -425,13 +422,7 @@ impl Journal {
             let mut magic = [0u8; 8];
             file.read_exact(&mut magic, faults)
                 .map_err(|e| io_err("read", path, &e))?;
-            if &magic != WAL_MAGIC {
-                return Err(GraphError::corrupt(
-                    path.display().to_string(),
-                    0,
-                    format!("bad journal magic {magic:?}"),
-                ));
-            }
+            check_magic(path, &magic)?;
         }
         Ok(Journal {
             file,
@@ -600,13 +591,7 @@ pub fn replay_with(path: &Path, faults: Option<&FaultInjector>) -> Result<Replay
         outcome.bytes_discarded = bytes.len() as u64;
         return Ok(outcome);
     }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(GraphError::corrupt(
-            path.display().to_string(),
-            0,
-            format!("bad journal magic {:?}", &bytes[..WAL_MAGIC.len()]),
-        ));
-    }
+    check_magic(path, &bytes[..WAL_MAGIC.len()])?;
     let origin = path.display().to_string();
     let mut off = WAL_MAGIC.len();
     let mut record = 0usize;
@@ -940,7 +925,8 @@ mod tests {
 
     fn sample_delta() -> EgDelta {
         EgDelta {
-            seq: None,
+            seq: 0x1f,
+            shards_touched: 1,
             new_vertices: vec![vertex(1, &[]), vertex(2, &[1])],
             touched: vec![VertexTouch {
                 id: ArtifactId(9),
@@ -982,10 +968,17 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage_with_record_context() {
-        let err = EgDelta::decode("X\t1", "w.wal", 7).unwrap_err();
+        let err = EgDelta::decode("S\t1\t1\nX\t1", "w.wal", 7).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("w.wal"), "{msg}");
         assert!(msg.contains('7'), "{msg}");
+        // Every record carries exactly one S line.
+        for bad in ["M+\t1", "S\t1", "S\t1\t1\nS\t2\t1", "S\tzz\t1"] {
+            assert!(
+                EgDelta::decode(bad, "w.wal", 1).is_err(),
+                "accepted {bad:?}"
+            );
+        }
     }
 
     #[test]
@@ -1073,14 +1066,18 @@ mod tests {
     #[test]
     fn seq_line_round_trips() {
         let mut delta = sample_delta();
-        delta.seq = Some(0x1f);
         let encoded = delta.encode();
-        assert!(encoded.starts_with("S\t1f\n"), "{encoded}");
+        assert!(encoded.starts_with("S\t1f\t1\n"), "{encoded}");
+        assert!(delta.commits_itself());
+        delta.shards_touched = 3;
+        let encoded = delta.encode();
+        assert!(encoded.starts_with("S\t1f\t3\n"), "{encoded}");
         let decoded = EgDelta::decode(&encoded, "<memory>", 1).unwrap();
         assert_eq!(decoded, delta);
-        // A delta without a sequence number encodes no S line at all —
-        // the single-journal layout is bit-identical to before.
-        assert!(!sample_delta().encode().contains("S\t"));
+        assert!(
+            !decoded.commits_itself(),
+            "a cross-shard record needs the commit log"
+        );
     }
 
     #[test]
@@ -1203,8 +1200,8 @@ mod tests {
             mat_added: vec![ArtifactId(2)],
             ..EgDelta::default()
         };
-        delta.apply(&mut eg).unwrap();
-        delta.apply(&mut eg).unwrap(); // replay over an already-applied state
+        delta.apply_to_shard(&mut eg).unwrap();
+        delta.apply_to_shard(&mut eg).unwrap(); // replay over an already-applied state
         assert_eq!(eg.n_vertices(), 2);
         assert_eq!(eg.vertex(ArtifactId(1)).unwrap().frequency, 1);
         assert!(eg.was_materialized(ArtifactId(2)));
@@ -1219,8 +1216,8 @@ mod tests {
             mat_removed: vec![ArtifactId(2)],
             ..EgDelta::default()
         };
-        touch.apply(&mut eg).unwrap();
-        touch.apply(&mut eg).unwrap();
+        touch.apply_to_shard(&mut eg).unwrap();
+        touch.apply_to_shard(&mut eg).unwrap();
         assert_eq!(eg.vertex(ArtifactId(1)).unwrap().frequency, 5);
         assert!(!eg.was_materialized(ArtifactId(2)));
     }

@@ -29,23 +29,22 @@
 //! * [`recover_shards`] — the shared startup-recovery routine (server
 //!   and `egfsck`): load per-shard `EGSNAP 3` snapshots, replay the
 //!   commit log, then replay each shard journal keeping exactly the
-//!   records that are both beyond the shard's snapshot watermark and
-//!   named by a commit record. A crash anywhere between the per-shard
-//!   appends of one publish rolls the whole publish back.
+//!   records that are beyond the shard's snapshot watermark and
+//!   committed — by themselves (single-shard publishes) or by a commit
+//!   record (cross-shard publishes). A crash anywhere between the
+//!   per-shard appends of one publish rolls the whole publish back.
 //!
-//! On-disk layout of a sharded data directory (`n` shards):
+//! On-disk layout of a data directory (`n` ≥ 1 shards — one shard is
+//! the trivial case, not a separate format):
 //!
 //! ```text
-//! eg-0.wal … eg-<n-1>.wal        one journal per shard (EGWAL 1)
+//! eg-0.wal … eg-<n-1>.wal        one journal per shard (EGWAL 2)
 //! eg-0.egsnap … eg-<n-1>.egsnap  per-shard snapshots (EGSNAP 3)
 //! eg.commit                      the cross-shard commit log (EGCMT 1)
 //! ```
-//!
-//! The single-journal layout (`eg.wal` / `eg.egsnap`) is unchanged and
-//! remains the format written when the server runs with one shard.
 
 use crate::artifact::ArtifactId;
-use crate::error::{GraphError, Result};
+use crate::error::Result;
 use crate::experiment::{EgVertex, ExperimentGraph};
 use crate::faults::FaultInjector;
 use crate::journal::{self, QuarantineEntry};
@@ -405,8 +404,8 @@ impl ShardedEg {
 
 /// Rebuild children links across a freshly recovered shard array.
 /// Per-shard snapshots and journal records persist parent lists only
-/// (children are derived state, exactly as in the single-shard
-/// formats), so after every shard has loaded, each vertex registers
+/// (children are derived state), so after every shard has loaded, each
+/// vertex registers
 /// itself with its parents — wherever they live. Returns the (parent,
 /// child) pairs whose parent no shard defines; a committed-prefix
 /// recovery never produces any, so the server treats a non-empty list
@@ -458,7 +457,7 @@ pub struct ShardRecovery {
     /// Journal records skipped: already inside a snapshot watermark, or
     /// never committed (rolled back).
     pub deltas_skipped: usize,
-    /// Distinct committed publishes named by the commit log.
+    /// Distinct publishes (sequence numbers) whose records were applied.
     pub committed_publishes: usize,
     /// Highest sequence number seen anywhere (watermarks, journals,
     /// commit log) — the server re-seeds its counter past this.
@@ -476,8 +475,9 @@ pub struct ShardRecovery {
 /// 2. replay the commit log (torn tail ⇒ scan stops; those publishes
 ///    were never committed);
 /// 3. replay each shard journal, applying a record iff its sequence
-///    number is beyond the shard's watermark **and** committed — a
-///    record without a sequence number is corruption in this layout;
+///    number is beyond the shard's watermark **and** it is committed:
+///    its publish touched one shard (the record commits itself) or its
+///    sequence number is in the commit log;
 /// 4. rebuild cross-shard children links ([`rewire_children`]).
 ///
 /// The caller truncates the returned torn tails (server) or reports
@@ -517,25 +517,22 @@ pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardR
 
     let mut deltas_applied = 0;
     let mut deltas_skipped = 0;
+    let mut applied_seqs = HashSet::new();
     for (k, graph) in graphs.iter_mut().enumerate() {
         let path = dir.join(shard_journal_file(k));
         let outcome = journal::replay(&path)?;
         if let Some(at) = outcome.torn_at {
-            torn.push((path.clone(), at, outcome.bytes_discarded));
+            torn.push((path, at, outcome.bytes_discarded));
         }
-        for (record, delta) in outcome.deltas.iter().enumerate() {
-            let Some(seq) = delta.seq else {
-                return Err(GraphError::corrupt(
-                    path.display().to_string(),
-                    record + 1,
-                    "sharded journal record carries no sequence number",
-                ));
-            };
-            max_seq = max_seq.max(seq);
-            if seq <= watermarks[k] || !committed.contains(&seq) {
+        for delta in &outcome.deltas {
+            max_seq = max_seq.max(delta.seq);
+            if delta.seq <= watermarks[k]
+                || !(delta.commits_itself() || committed.contains(&delta.seq))
+            {
                 deltas_skipped += 1;
                 continue;
             }
+            applied_seqs.insert(delta.seq);
             delta.apply_to_shard(graph)?;
             for q in &delta.quarantine_set {
                 qmap.insert(q.op_hash, (q.name.clone(), q.failures));
@@ -572,7 +569,7 @@ pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardR
         torn,
         deltas_applied,
         deltas_skipped,
-        committed_publishes: committed.len(),
+        committed_publishes: applied_seqs.len(),
         max_seq,
         unresolved_links,
     })
@@ -720,96 +717,105 @@ mod tests {
     fn recovery_keeps_exactly_the_committed_prefix() {
         let dir = tmp_dir("committed_prefix");
         let n = 2;
-        // Publish 1 (committed): vertex 3 in its owning shard.
-        // Publish 2 (journalled but never committed — the crash hit
-        // between the per-shard appends and the commit append): vertex 5
-        // with parent 3, plus a frequency bump of 3.
-        let (a, b) = (3u64, 5u64);
+        // Publish 1 touches one shard: its record commits itself, no
+        // commit-log entry. Publish 2 spans both shards and commits. Publish
+        // 3 spans both shards too, but the crash hit between its per-shard
+        // appends and the commit append: vertex 9 with parent 3, plus a
+        // frequency bump of 3, both rolled back.
+        let (a, b, c) = (3u64, 5u64, 9u64);
         let ka = shard_of(ArtifactId(a), n);
         let kb = shard_of(ArtifactId(b), n);
+        let kc = shard_of(ArtifactId(c), n);
         assert_ne!(ka, kb);
+        assert_ne!(ka, kc);
         let mut journals: Vec<Journal> = (0..n)
             .map(|k| Journal::open(&dir.join(shard_journal_file(k)), FsyncPolicy::Always).unwrap())
             .collect();
         let mut commit = CommitLog::open(&dir.join(COMMIT_FILE)).unwrap();
-        journals[ka]
-            .append(
-                &EgDelta {
-                    seq: Some(1),
-                    new_vertices: vec![vertex(a, &[])],
-                    ..EgDelta::default()
-                },
-                None,
-            )
-            .unwrap();
+        let record = |seq: u64, shards_touched: u32| EgDelta {
+            seq,
+            shards_touched,
+            ..EgDelta::default()
+        };
+        let bump = |freq: u64| journal::VertexTouch {
+            id: ArtifactId(a),
+            frequency: freq,
+            compute_time: 0.5,
+            size: 64,
+            quality: 0.0,
+        };
+        let mut publish1 = record(1, 1);
+        publish1.new_vertices.push(vertex(a, &[]));
+        journals[ka].append(&publish1, None).unwrap();
+
+        let mut publish2 = record(2, 2);
+        publish2.new_vertices.push(vertex(b, &[a]));
+        journals[kb].append(&publish2, None).unwrap();
+        let mut publish2_bump = record(2, 2);
+        publish2_bump.touched.push(bump(2));
+        journals[ka].append(&publish2_bump, None).unwrap();
+        let all = |ks: [usize; 2]| ks.iter().map(|k| u32::try_from(*k).unwrap()).collect();
+        let mut ordered = [ka, kb];
+        ordered.sort_unstable();
         commit
             .append(
                 &CommitRecord {
-                    seq: 1,
-                    shards: vec![u32::try_from(ka).unwrap()],
+                    seq: 2,
+                    shards: all(ordered),
                 },
                 None,
             )
             .unwrap();
-        journals[kb]
-            .append(
-                &EgDelta {
-                    seq: Some(2),
-                    new_vertices: vec![vertex(b, &[a])],
-                    ..EgDelta::default()
-                },
-                None,
-            )
-            .unwrap();
-        journals[ka]
-            .append(
-                &EgDelta {
-                    seq: Some(2),
-                    touched: vec![journal::VertexTouch {
-                        id: ArtifactId(a),
-                        frequency: 2,
-                        compute_time: 0.5,
-                        size: 64,
-                        quality: 0.0,
-                    }],
-                    ..EgDelta::default()
-                },
-                None,
-            )
-            .unwrap();
-        // No commit record for seq 2: the publish rolls back whole.
+
+        let mut publish3 = record(3, 2);
+        publish3.new_vertices.push(vertex(c, &[a]));
+        journals[kc].append(&publish3, None).unwrap();
+        let mut publish3_bump = record(3, 2);
+        publish3_bump.touched.push(bump(3));
+        journals[ka].append(&publish3_bump, None).unwrap();
+        // No commit record for seq 3: the publish rolls back whole.
         drop(journals);
         drop(commit);
 
         let rec = recover_shards(&dir, n, true).unwrap();
-        assert_eq!(rec.deltas_applied, 1);
+        assert_eq!(rec.deltas_applied, 3);
         assert_eq!(rec.deltas_skipped, 2);
-        assert_eq!(rec.committed_publishes, 1);
-        assert_eq!(rec.max_seq, 2);
+        assert_eq!(rec.committed_publishes, 2);
+        assert_eq!(rec.max_seq, 3);
         assert!(rec.torn.is_empty());
         assert!(rec.unresolved_links.is_empty());
-        assert!(rec.graphs[ka].contains(ArtifactId(a)));
-        assert_eq!(rec.graphs[ka].vertex(ArtifactId(a)).unwrap().frequency, 1);
-        assert!(!rec.graphs[kb].contains(ArtifactId(b)));
+        assert_eq!(rec.graphs[ka].vertex(ArtifactId(a)).unwrap().frequency, 2);
+        assert!(rec.graphs[kb].contains(ArtifactId(b)));
+        assert!(!rec.graphs[kc].contains(ArtifactId(c)));
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn recovery_rejects_seqless_records_in_sharded_journals() {
+        // A record that passes its CRC but has no `S` line cannot be
+        // placed against the watermark or the commit log: recovery
+        // reports it as corruption instead of guessing.
         let dir = tmp_dir("seqless");
-        let mut j = Journal::open(&dir.join(shard_journal_file(0)), FsyncPolicy::Always).unwrap();
-        j.append(
-            &EgDelta {
-                seq: None,
-                new_vertices: vec![vertex(1, &[])],
-                ..EgDelta::default()
-            },
-            None,
-        )
-        .unwrap();
-        drop(j);
+        let path = dir.join(shard_journal_file(0));
+        drop(Journal::open(&path, FsyncPolicy::Always).unwrap());
+        let delta = EgDelta {
+            seq: 1,
+            shards_touched: 1,
+            new_vertices: vec![vertex(1, &[])],
+            ..EgDelta::default()
+        };
+        let encoded = delta.encode();
+        let (s_line, payload) = encoded.split_once('\n').unwrap();
+        assert!(s_line.starts_with("S\t"), "{s_line}");
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        frame.extend_from_slice(&journal::crc32(payload.as_bytes()).to_le_bytes());
+        frame.extend_from_slice(payload.as_bytes());
+        let mut file = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        std::io::Write::write_all(&mut file, &frame).unwrap();
+        drop(file);
         let err = recover_shards(&dir, 2, true).err().unwrap();
-        assert!(err.to_string().contains("sequence number"), "{err}");
+        assert!(err.to_string().contains("no S entry"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -14,10 +14,11 @@
 //! therefore plans with full cost information immediately, and regains
 //! reuse opportunities as content streams back in.
 //!
-//! ## Format (`EGSNAP 2`)
+//! ## Format (`EGSNAP 3`, one file per shard)
 //!
 //! ```text
-//! EGSNAP 2
+//! EGSNAP 3
+//! W\t<sequence watermark hex>
 //! V\t<10 vertex fields>\t<mat: 0|1>
 //! ...
 //! Q\t<op hash hex>\t<failures>\t<escaped name>
@@ -25,13 +26,15 @@
 //! #CRC <crc32 of everything above, 8 hex digits>
 //! ```
 //!
-//! Vertex lines come in topological (parents-first) order; free-text
+//! The watermark is the highest publish sequence number the snapshot
+//! contains; journal replay skips records at or below it. Vertex lines
+//! come in the shard's topological (parents-first) order, with parents
+//! recorded but not resolved — they may live in other shards. Free-text
 //! fields escape tabs/newlines/backslashes with `\`. The CRC footer
 //! covers every byte before it, so any single-byte corruption is
 //! detected at load instead of silently restoring a wrong graph.
 //! Snapshots are written atomically: temp file, fsync, rename (see
-//! [`save_with`]). The legacy headerless-of-extras `EGSNAP 1` format
-//! (no `V` tag, no mat flag, no quarantine, no CRC) still loads.
+//! [`save_shard_with`]). Only shard 0's snapshot carries `Q` lines.
 
 use crate::artifact::{ArtifactId, NodeKind};
 use crate::error::{GraphError, Result};
@@ -41,16 +44,8 @@ use crate::journal::{crc32, QuarantineEntry};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-const HEADER_V1: &str = "EGSNAP 1";
-const HEADER_V2: &str = "EGSNAP 2";
-/// Per-shard snapshot of a sharded Experiment Graph: an `EGSNAP 2` body
-/// preceded by a `W\t<seq>` watermark line, parsed with *lenient*
-/// lineage (a vertex's parents may live in other shards).
 const HEADER_V3: &str = "EGSNAP 3";
 const CRC_PREFIX: &str = "#CRC ";
-
-/// Origin label for snapshots parsed from in-memory strings.
-const IN_MEMORY: &str = "<memory>";
 
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -195,26 +190,6 @@ pub(crate) fn parse_vertex_fields(fields: &[&str], ctx: &ParseCtx<'_>) -> Result
     })
 }
 
-/// A graph restored from a snapshot, with the persisted quarantine set.
-pub struct RestoredSnapshot {
-    /// The rebuilt graph (meta-data only; empty content store).
-    pub graph: ExperimentGraph,
-    /// Quarantine entries active when the snapshot was written.
-    pub quarantine: Vec<QuarantineEntry>,
-}
-
-/// Serialise the graph's meta-data (no quarantine) to an `EGSNAP 2`
-/// string. See [`to_snapshot_with`].
-///
-/// # Errors
-///
-/// The graph's topological order lists a vertex the graph cannot
-/// resolve — internal corruption that must surface as a typed error
-/// (the durability layer degrades to read-only), never a panic.
-pub fn to_snapshot(eg: &ExperimentGraph) -> Result<String> {
-    to_snapshot_with(eg, &[])
-}
-
 /// The typed error for a graph whose topological order lists a vertex
 /// the graph cannot resolve: in-memory corruption, reported like any
 /// other durability corruption instead of panicking mid-save.
@@ -224,69 +199,6 @@ fn unknown_vertex(id: ArtifactId) -> GraphError {
         0,
         format!("topo order lists unknown vertex {:x}", id.0),
     )
-}
-
-/// Serialise the graph's meta-data and the quarantine set to an
-/// `EGSNAP 2` string, CRC footer included.
-///
-/// # Errors
-///
-/// The graph's topological order lists an unresolvable vertex (see
-/// [`to_snapshot`]).
-pub fn to_snapshot_with(eg: &ExperimentGraph, quarantine: &[QuarantineEntry]) -> Result<String> {
-    let mut out = String::new();
-    let _ = writeln!(out, "{HEADER_V2}");
-    for id in eg.topo_order() {
-        let v = eg.vertex(*id).map_err(|_| unknown_vertex(*id))?;
-        let mat = u8::from(eg.was_materialized(*id));
-        let _ = writeln!(out, "V\t{}\t{}", vertex_fields(v), mat);
-    }
-    for q in quarantine {
-        let _ = writeln!(
-            out,
-            "Q\t{:x}\t{}\t{}",
-            q.op_hash,
-            q.failures,
-            escape(&q.name)
-        );
-    }
-    let _ = writeln!(out, "{CRC_PREFIX}{:08x}", crc32(out.as_bytes()));
-    Ok(out)
-}
-
-/// Rebuild a graph from a snapshot string (either `EGSNAP 2` or the
-/// legacy `EGSNAP 1`), dropping the quarantine set.
-pub fn from_snapshot(text: &str, dedup: bool) -> Result<ExperimentGraph> {
-    from_snapshot_full(text, dedup, IN_MEMORY).map(|r| r.graph)
-}
-
-/// Rebuild a graph and the quarantine set from a snapshot string.
-/// `origin` names the source (a file path, usually) in parse errors.
-pub fn from_snapshot_full(text: &str, dedup: bool, origin: &str) -> Result<RestoredSnapshot> {
-    let header = text.lines().next().unwrap_or("");
-    match header {
-        HEADER_V2 => from_v2(text, dedup, origin),
-        HEADER_V1 => from_v1(text, dedup, origin),
-        HEADER_V3 => Err(GraphError::corrupt(
-            origin,
-            0,
-            "this is a per-shard snapshot (EGSNAP 3) — open the data dir with the sharded layout",
-        )),
-        other => Err(GraphError::corrupt(
-            origin,
-            0,
-            format!("expected header {HEADER_V2:?} or {HEADER_V1:?}, found {other:?}"),
-        )),
-    }
-}
-
-fn check_parents(eg: &ExperimentGraph, v: &EgVertex, ctx: &ParseCtx<'_>) -> Result<()> {
-    for p in &v.parents {
-        if !eg.contains(*p) {
-            return Err(ctx.err(format!("parent {:x} referenced before definition", p.0)));
-        }
-    }
-    Ok(())
 }
 
 /// Verify the canonical `#CRC` footer over everything preceding it and
@@ -328,79 +240,6 @@ fn verify_crc_footer(text: &str, origin: &str) -> Result<usize> {
     Ok(footer_at)
 }
 
-fn from_v2(text: &str, dedup: bool, origin: &str) -> Result<RestoredSnapshot> {
-    // Verify the CRC footer over everything preceding it before
-    // trusting a single field.
-    let footer_at = verify_crc_footer(text, origin)?;
-    let mut eg = ExperimentGraph::new(dedup);
-    let mut quarantine = Vec::new();
-    for (lineno, line) in text[..footer_at].lines().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ctx = ParseCtx {
-            origin,
-            record: lineno + 1,
-        };
-        let fields: Vec<&str> = line.split('\t').collect();
-        match fields[0] {
-            "V" if fields.len() == 12 => {
-                let v = parse_vertex_fields(&fields[1..11], &ctx)?;
-                let mat = match fields[11] {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(ctx.err(format!("bad mat flag {other:?}"))),
-                };
-                check_parents(&eg, &v, &ctx)?;
-                let id = v.id;
-                eg.restore_vertex(v).map_err(|e| ctx.err(e.to_string()))?;
-                if mat {
-                    eg.mark_restored_materialized(id);
-                }
-            }
-            "Q" if fields.len() == 4 => quarantine.push(QuarantineEntry {
-                op_hash: u64::from_str_radix(fields[1], 16)
-                    .map_err(|_| ctx.err("bad op hash in Q line"))?,
-                failures: fields[2]
-                    .parse()
-                    .map_err(|_| ctx.err("bad failure count in Q line"))?,
-                name: unescape(fields[3]).map_err(|m| ctx.err(m))?,
-            }),
-            tag => {
-                return Err(ctx.err(format!(
-                    "unknown or malformed snapshot line {tag:?} ({} fields)",
-                    fields.len()
-                )))
-            }
-        }
-    }
-    Ok(RestoredSnapshot {
-        graph: eg,
-        quarantine,
-    })
-}
-
-fn from_v1(text: &str, dedup: bool, origin: &str) -> Result<RestoredSnapshot> {
-    let mut eg = ExperimentGraph::new(dedup);
-    for (lineno, line) in text.lines().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ctx = ParseCtx {
-            origin,
-            record: lineno + 1,
-        };
-        let fields: Vec<&str> = line.split('\t').collect();
-        let v = parse_vertex_fields(&fields, &ctx)?;
-        check_parents(&eg, &v, &ctx)?;
-        eg.restore_vertex(v).map_err(|e| ctx.err(e.to_string()))?;
-    }
-    Ok(RestoredSnapshot {
-        graph: eg,
-        quarantine: Vec::new(),
-    })
-}
-
 /// One shard restored from an `EGSNAP 3` snapshot. Children links and
 /// cross-shard lineage are *not* validated here — run the sharded
 /// recovery's rewire pass (`crate::shard`) over all shards afterwards.
@@ -419,8 +258,9 @@ pub struct RestoredShardSnapshot {
 ///
 /// # Errors
 ///
-/// The graph's topological order lists an unresolvable vertex (see
-/// [`to_snapshot`]).
+/// The graph's topological order lists a vertex the graph cannot
+/// resolve — internal corruption that must surface as a typed error
+/// (the durability layer degrades to read-only), never a panic.
 pub fn to_shard_snapshot(
     eg: &ExperimentGraph,
     quarantine: &[QuarantineEntry],
@@ -519,8 +359,12 @@ pub fn from_shard_snapshot(text: &str, dedup: bool, origin: &str) -> Result<Rest
     })
 }
 
-/// Write one shard's snapshot atomically (same temp+fsync+rename
-/// discipline and crash points as [`save_with`]).
+/// Write one shard's snapshot (graph + quarantine set + watermark) to
+/// disk atomically: the full contents go to `<path>.tmp`, which is
+/// fsynced and then renamed over `path`, so a crash at any point leaves
+/// either the old complete snapshot or the new complete snapshot —
+/// never a torn mix. With a fault injector armed, the snapshot
+/// [`CrashPoint`]s fire here.
 pub fn save_shard_with(
     eg: &ExperimentGraph,
     quarantine: &[QuarantineEntry],
@@ -559,27 +403,6 @@ fn crash_err(point: CrashPoint) -> GraphError {
     GraphError::Io(format!("injected crash at {}", point.name()))
 }
 
-/// Write a snapshot to disk atomically (temp file + fsync + rename).
-/// See [`save_with`].
-pub fn save(eg: &ExperimentGraph, path: &Path) -> Result<()> {
-    save_with(eg, &[], path, None)
-}
-
-/// Write a snapshot (graph + quarantine set) to disk atomically:
-/// the full contents go to `<path>.tmp`, which is fsynced and then
-/// renamed over `path`, so a crash at any point leaves either the old
-/// complete snapshot or the new complete snapshot — never a torn mix.
-/// With a fault injector armed, the snapshot [`CrashPoint`]s fire here.
-pub fn save_with(
-    eg: &ExperimentGraph,
-    quarantine: &[QuarantineEntry],
-    path: &Path,
-    faults: Option<&FaultInjector>,
-) -> Result<()> {
-    let text = to_snapshot_with(eg, quarantine)?;
-    write_atomic(&text, path, faults)
-}
-
 fn write_atomic(text: &str, path: &Path, faults: Option<&FaultInjector>) -> Result<()> {
     let bytes = text.as_bytes();
     let tmp = tmp_path(path);
@@ -609,21 +432,12 @@ fn write_atomic(text: &str, path: &Path, faults: Option<&FaultInjector>) -> Resu
     Ok(())
 }
 
-/// Load a snapshot from disk, dropping the quarantine set.
-pub fn load(path: &Path, dedup: bool) -> Result<ExperimentGraph> {
-    load_full(path, dedup).map(|r| r.graph)
-}
-
-/// Load a snapshot and the persisted quarantine set from disk.
-pub fn load_full(path: &Path, dedup: bool) -> Result<RestoredSnapshot> {
-    let text = crate::vfs::read_to_string(path, None)
-        .map_err(|e| GraphError::Io(format!("cannot read snapshot {}: {e}", path.display())))?;
-    from_snapshot_full(&text, dedup, &path.display().to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Origin label for snapshots parsed from in-memory strings.
+    const IN_MEMORY: &str = "<memory>";
     use crate::operation::Operation;
     use crate::value::Value;
     use crate::workload::WorkloadDag;
@@ -669,10 +483,24 @@ mod tests {
         eg
     }
 
+    /// Serialise `eg` as a one-shard snapshot and restore it, children
+    /// links rewired (as recovery does).
+    fn round_trip(eg: &ExperimentGraph, dedup: bool) -> Result<ExperimentGraph> {
+        let text = to_shard_snapshot(eg, &[], 0)?;
+        let mut graphs = vec![from_shard_snapshot(&text, dedup, IN_MEMORY)?.graph];
+        assert!(crate::shard::rewire_children(&mut graphs).is_empty());
+        Ok(graphs.remove(0))
+    }
+
+    /// A well-formed `EGSNAP 3` text with a correct CRC footer.
+    fn with_footer(body: &str) -> String {
+        format!("{body}{CRC_PREFIX}{:08x}\n", crc32(body.as_bytes()))
+    }
+
     #[test]
     fn round_trips_meta_data() {
         let eg = populated();
-        let restored = from_snapshot(&to_snapshot(&eg).unwrap(), true).unwrap();
+        let restored = round_trip(&eg, true).unwrap();
         assert_eq!(restored.n_vertices(), eg.n_vertices());
         assert_eq!(restored.topo_order(), eg.topo_order());
         assert_eq!(restored.sources(), eg.sources());
@@ -712,8 +540,8 @@ mod tests {
             name: "train\tweird".to_owned(),
             failures: 4,
         }];
-        let text = to_snapshot_with(&eg, &quarantine).unwrap();
-        let restored = from_snapshot_full(&text, true, IN_MEMORY).unwrap();
+        let text = to_shard_snapshot(&eg, &quarantine, 0).unwrap();
+        let restored = from_shard_snapshot(&text, true, IN_MEMORY).unwrap();
         assert_eq!(restored.quarantine, quarantine);
         assert_eq!(restored.graph.n_vertices(), eg.n_vertices());
     }
@@ -722,35 +550,12 @@ mod tests {
     fn file_round_trip() {
         let eg = populated();
         let path = std::env::temp_dir().join("co_graph_snapshot_test.egsnap");
-        save(&eg, &path).unwrap();
-        let restored = load(&path, true).unwrap();
-        assert_eq!(restored.n_vertices(), eg.n_vertices());
+        save_shard_with(&eg, &[], 7, &path, None).unwrap();
+        let restored = load_shard_full(&path, true).unwrap();
+        assert_eq!(restored.graph.n_vertices(), eg.n_vertices());
+        assert_eq!(restored.watermark, 7);
         assert!(!tmp_path(&path).exists(), "atomic save leaves no temp file");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn loads_legacy_v1_snapshots() {
-        // An EGSNAP 1 file from an existing deployment: no V tag, no mat
-        // flag, no quarantine, no CRC footer.
-        let v1 = "EGSNAP 1\n\
-                  aa\tD\t2\t0\t64\t0\t-\tsrc\tdesc\t\n\
-                  bb\tM\t2\t1.5\t32\t0.875\tbeef\t-\tmodel\taa\n";
-        let restored = from_snapshot_full(v1, true, "legacy.egsnap").unwrap();
-        assert_eq!(restored.graph.n_vertices(), 2);
-        assert!(restored.quarantine.is_empty());
-        assert!(!restored.graph.was_materialized(ArtifactId(0xaa)));
-        let m = restored.graph.vertex(ArtifactId(0xbb)).unwrap();
-        assert_eq!(m.quality, 0.875);
-        assert_eq!(m.parents, vec![ArtifactId(0xaa)]);
-        // And a v1 parse error names the file and line.
-        let bad = "EGSNAP 1\naa\tD\tnot_a_number\t0\t64\t0\t-\tsrc\tdesc\t\n";
-        let err = from_snapshot_full(bad, true, "legacy.egsnap")
-            .err()
-            .expect("bad v1 line");
-        let msg = err.to_string();
-        assert!(msg.contains("legacy.egsnap"), "{msg}");
-        assert!(msg.contains("record 2"), "{msg}");
     }
 
     #[test]
@@ -766,13 +571,10 @@ mod tests {
         assert_eq!(restored.watermark, 0x2a);
         assert_eq!(restored.quarantine, quarantine);
         assert_eq!(restored.graph.n_vertices(), eg.n_vertices());
-        // The legacy loader refuses a per-shard snapshot outright.
-        let err = from_snapshot_full(&text, true, IN_MEMORY).err().unwrap();
-        assert!(err.to_string().contains("EGSNAP 3"), "{err}");
         // A v3 file without its watermark line is rejected.
-        let body = "EGSNAP 3\n";
-        let no_w = format!("{body}{CRC_PREFIX}{:08x}\n", crc32(body.as_bytes()));
-        let err = from_shard_snapshot(&no_w, true, IN_MEMORY).err().unwrap();
+        let err = from_shard_snapshot(&with_footer("EGSNAP 3\n"), true, IN_MEMORY)
+            .err()
+            .unwrap();
         assert!(err.to_string().contains("W line"), "{err}");
     }
 
@@ -780,8 +582,8 @@ mod tests {
     fn shard_snapshot_tolerates_foreign_parents() {
         // A shard may hold a vertex whose parent lives in another shard:
         // the parent id is recorded but not resolved at load time.
-        let body = "EGSNAP 3\nW\t5\nV\tbb\tM\t2\t1.5\t32\t0.875\tbeef\t-\tmodel\taa\t1\n";
-        let text = format!("{body}{CRC_PREFIX}{:08x}\n", crc32(body.as_bytes()));
+        let text =
+            with_footer("EGSNAP 3\nW\t5\nV\tbb\tM\t2\t1.5\t32\t0.875\tbeef\t-\tmodel\taa\t1\n");
         let restored = from_shard_snapshot(&text, true, IN_MEMORY).unwrap();
         assert_eq!(restored.watermark, 5);
         let v = restored.graph.vertex(ArtifactId(0xbb)).unwrap();
@@ -793,30 +595,32 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(from_snapshot("", true).is_err());
-        assert!(from_snapshot("WRONG", true).is_err());
-        assert!(from_snapshot("EGSNAP 1\nnot\tenough\tfields", true).is_err());
-        // Parent referenced before definition.
-        let bad = "EGSNAP 1\nff\tD\t1\t0\t0\t0\t-\t-\tdesc\taa";
-        assert!(from_snapshot(bad, true).is_err());
-        // v2 without its footer is treated as truncated.
-        let headless = "EGSNAP 2\n";
-        assert!(from_snapshot(headless, true).is_err());
+        let parse = |text: &str| from_shard_snapshot(text, true, IN_MEMORY);
+        assert!(parse("").is_err());
+        assert!(parse("WRONG").is_err());
+        // Any other header is not a snapshot of this layout.
+        assert!(parse(&with_footer("EGSNAP 4\nW\t0\n")).is_err());
+        assert!(parse(&with_footer("EGSNAP 3\nW\t0\nV\tnot\tenough\n")).is_err());
+        assert!(parse(&with_footer("EGSNAP 3\nW\t0\nW\t1\n")).is_err());
+        // v3 without its footer is treated as truncated.
+        assert!(parse("EGSNAP 3\nW\t0\n").is_err());
     }
 
     #[test]
     fn corruption_is_detected_by_the_crc_footer() {
-        let text = to_snapshot(&populated()).unwrap();
+        let text = to_shard_snapshot(&populated(), &[], 3).unwrap();
         // Flip one byte in the middle of the body.
         let mut bytes = text.clone().into_bytes();
         let mid = bytes.len() / 2;
         bytes[mid] = bytes[mid].wrapping_add(1);
         let corrupted = String::from_utf8_lossy(&bytes).into_owned();
-        let err = from_snapshot(&corrupted, true).err().expect("corrupt");
+        let err = from_shard_snapshot(&corrupted, true, IN_MEMORY)
+            .err()
+            .expect("corrupt");
         assert!(matches!(err, GraphError::Corrupt { .. }), "{err}");
         // Truncation (losing the footer) is detected too.
         let truncated = &text[..text.len() - 20];
-        assert!(from_snapshot(truncated, true).is_err());
+        assert!(from_shard_snapshot(truncated, true, IN_MEMORY).is_err());
     }
 
     #[test]
@@ -828,26 +632,22 @@ mod tests {
         // instead of silently corrupting the field. The populated graph's
         // source is named "train\tcsv", serialised with an escaped tab —
         // turn that escape into an unknown one.
-        let eg = populated();
-        let good = to_snapshot(&eg).unwrap();
+        let good = to_shard_snapshot(&populated(), &[], 0).unwrap();
         assert!(good.contains("train\\tcsv"));
         let bad = good.replacen("train\\tcsv", "train\\zcsv", 1);
         // (fix the CRC so the escape error, not the checksum, fires)
         let body_end = bad.rfind(CRC_PREFIX).unwrap();
-        let rebuilt = format!(
-            "{}{CRC_PREFIX}{:08x}\n",
-            &bad[..body_end],
-            crc32(&bad.as_bytes()[..body_end])
-        );
-        let err = from_snapshot(&rebuilt, true).err().expect("bad escape");
+        let rebuilt = with_footer(&bad[..body_end]);
+        let err = from_shard_snapshot(&rebuilt, true, IN_MEMORY)
+            .err()
+            .expect("bad escape");
         assert!(err.to_string().contains("escape"), "{err}");
     }
 
     #[test]
     fn escaping_survives_hostile_names() {
         assert_eq!(unescape(&escape("a\tb\\c\nd")).unwrap(), "a\tb\\c\nd");
-        let eg = populated();
-        let restored = from_snapshot(&to_snapshot(&eg).unwrap(), true).unwrap();
+        let restored = round_trip(&populated(), true).unwrap();
         let src = restored.sources()[0];
         assert_eq!(
             restored.vertex(src).unwrap().source_name.as_deref(),

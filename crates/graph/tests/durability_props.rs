@@ -1,5 +1,5 @@
 //! Property tests for the durability codecs: journal records and
-//! `EGSNAP 2` snapshots must round-trip hostile text exactly, and any
+//! `EGSNAP 3` snapshots must round-trip hostile text exactly, and any
 //! single-byte corruption of the on-disk bytes must be *detected* — as
 //! a hard error, or (for the journal, whose tail may legitimately be
 //! torn by a crash) by confining the damage to a truncated tail so the
@@ -104,7 +104,7 @@ fn arb_quarantine_entry() -> impl Strategy<Value = QuarantineEntry> {
 fn arb_delta() -> impl Strategy<Value = EgDelta> {
     (
         (
-            (prop_bool::ANY, 0u64..u64::MAX),
+            (0u64..u64::MAX, 1u32..16),
             proptest::collection::vec(arb_vertex(), 0..3),
         ),
         proptest::collection::vec(
@@ -123,25 +123,26 @@ fn arb_delta() -> impl Strategy<Value = EgDelta> {
         proptest::collection::vec(0u64..u64::MAX, 0..2),
     )
         .prop_map(
-            |(((has_seq, seq), new_vertices), touched, added, removed, qset, qcleared)| EgDelta {
-                // The sharded layout's S line rides along in every codec
-                // property (None exercises the legacy encoding).
-                seq: has_seq.then_some(seq),
-                new_vertices,
-                touched: touched
-                    .into_iter()
-                    .map(|(id, frequency, compute_time, size, quality)| VertexTouch {
-                        id: ArtifactId(id),
-                        frequency,
-                        compute_time,
-                        size,
-                        quality,
-                    })
-                    .collect(),
-                mat_added: added.into_iter().map(ArtifactId).collect(),
-                mat_removed: removed.into_iter().map(ArtifactId).collect(),
-                quarantine_set: qset,
-                quarantine_cleared: qcleared,
+            |(((seq, shards_touched), new_vertices), touched, added, removed, qset, qcleared)| {
+                EgDelta {
+                    seq,
+                    shards_touched,
+                    new_vertices,
+                    touched: touched
+                        .into_iter()
+                        .map(|(id, frequency, compute_time, size, quality)| VertexTouch {
+                            id: ArtifactId(id),
+                            frequency,
+                            compute_time,
+                            size,
+                            quality,
+                        })
+                        .collect(),
+                    mat_added: added.into_iter().map(ArtifactId).collect(),
+                    mat_removed: removed.into_iter().map(ArtifactId).collect(),
+                    quarantine_set: qset,
+                    quarantine_cleared: qcleared,
+                }
             },
         )
 }
@@ -241,17 +242,19 @@ proptest! {
         }
     }
 
-    /// `EGSNAP 2` round trip: vertices, materialization flags, and the
-    /// quarantine set all survive, and re-serialising the restored state
-    /// is bytewise identical (stable fixed point).
-    fn snapshot_v2_round_trips(
+    /// `EGSNAP 3` round trip: vertices, materialization flags, the
+    /// quarantine set and the watermark all survive, and re-serialising
+    /// the restored state is bytewise identical (stable fixed point).
+    fn snapshot_v3_round_trips(
         names in proptest::collection::vec(hostile(0..8), 1..4),
         mat_mask in proptest::collection::vec(prop_bool::ANY, 1..4),
         quarantine in proptest::collection::vec(arb_quarantine_entry(), 0..3),
+        watermark in 0u64..u64::MAX,
     ) {
         let eg = hostile_graph(&names, &mat_mask);
-        let text = snapshot::to_snapshot_with(&eg, &quarantine).unwrap();
-        let restored = snapshot::from_snapshot_full(&text, true, "prop").unwrap();
+        let text = snapshot::to_shard_snapshot(&eg, &quarantine, watermark).unwrap();
+        let restored = snapshot::from_shard_snapshot(&text, true, "prop").unwrap();
+        prop_assert_eq!(restored.watermark, watermark);
         prop_assert_eq!(restored.graph.n_vertices(), eg.n_vertices());
         prop_assert_eq!(restored.graph.topo_order(), eg.topo_order());
         for id in eg.topo_order() {
@@ -264,12 +267,12 @@ proptest! {
         }
         prop_assert_eq!(&restored.quarantine, &quarantine);
         prop_assert_eq!(
-            snapshot::to_snapshot_with(&restored.graph, &restored.quarantine).unwrap(),
+            snapshot::to_shard_snapshot(&restored.graph, &restored.quarantine, watermark).unwrap(),
             text
         );
     }
 
-    /// Flip any single byte of an `EGSNAP 2` snapshot: loading must
+    /// Flip any single byte of an `EGSNAP 3` snapshot: loading must
     /// fail. Unlike the journal there is no legitimate torn state — the
     /// file is renamed into place atomically — so every corruption is a
     /// hard error (invalid UTF-8 counts: the file no longer reads as a
@@ -282,14 +285,14 @@ proptest! {
         mask in 1u8..=255,
     ) {
         let eg = hostile_graph(&names, &mat_mask);
-        let good = snapshot::to_snapshot_with(&eg, &quarantine).unwrap();
+        let good = snapshot::to_shard_snapshot(&eg, &quarantine, 0x2a).unwrap();
         let mut bytes = good.clone().into_bytes();
         let at = idx % bytes.len();
         bytes[at] ^= mask;
         match String::from_utf8(bytes) {
             Err(_) => {} // detected: not even UTF-8 any more
             Ok(bad) => prop_assert!(
-                snapshot::from_snapshot_full(&bad, true, "prop").is_err(),
+                snapshot::from_shard_snapshot(&bad, true, "prop").is_err(),
                 "flip of byte {} (mask {:#04x}) loaded successfully",
                 at,
                 mask

@@ -143,14 +143,16 @@ proptest! {
         let dag = build_dag(&specs);
         let mut eg = ExperimentGraph::new(true);
         eg.update_with_workload(&dag).unwrap();
-        let text = snapshot::to_snapshot(&eg).unwrap();
-        let restored = snapshot::from_snapshot(&text, true).unwrap();
+        let text = snapshot::to_shard_snapshot(&eg, &[], 0).unwrap();
+        let mut shards = vec![snapshot::from_shard_snapshot(&text, true, "prop").unwrap().graph];
+        prop_assert!(co_graph::shard::rewire_children(&mut shards).is_empty());
+        let restored = shards.remove(0);
         prop_assert_eq!(restored.n_vertices(), eg.n_vertices());
         prop_assert_eq!(restored.topo_order(), eg.topo_order());
         prop_assert_eq!(restored.recreation_costs(), eg.recreation_costs());
         prop_assert_eq!(restored.potentials(), eg.potentials());
         // Fixpoint.
-        prop_assert_eq!(snapshot::to_snapshot(&restored).unwrap(), text);
+        prop_assert_eq!(snapshot::to_shard_snapshot(&restored, &[], 0).unwrap(), text);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Chaos harness: concurrent publishers against a durable server while
 //! a bounded storage-fault window (ENOSPC / failed fsyncs) opens and
-//! closes, at both durability layouts (shards = 1 and shards = 8), and
+//! closes, at shards = 1 and shards = 8, and
 //! a serve-level run composing I/O faults with network faults. After
 //! every scenario: the server returns to `Healthy` once the faults
 //! clear, a reopened data directory holds exactly what the live server
@@ -91,10 +91,7 @@ fn data_dir(name: &str) -> PathBuf {
 }
 
 fn assert_fsck_clean(dir: &std::path::Path) {
-    let report = match co_graph::fsck::detect_shard_layout(dir) {
-        Some(n) => co_graph::fsck::check_sharded_data_dir(dir, n, true).unwrap(),
-        None => co_graph::fsck::check_data_dir(dir, true).unwrap(),
-    };
+    let report = co_graph::fsck::check_data_dir(dir, true).unwrap();
     assert!(report.is_clean(), "data dir: {report}");
 }
 

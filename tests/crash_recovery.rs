@@ -1,9 +1,10 @@
 //! Crash matrix: kill persistence at every injected crash point and
 //! assert a restarted server recovers exactly the committed-workload
 //! prefix — same vertex ids, frequencies, materialization flags, and
-//! quarantine set. Runs against both durability layouts: the classic
-//! single-journal server and the sharded one (per-shard journals sealed
-//! by a cross-shard commit record, DESIGN.md §14).
+//! quarantine set. Every scenario runs at one shard and at eight: the
+//! same durable layout (per-shard journals, self-committing single-shard
+//! records, a commit record for cross-shard publishes, DESIGN.md §14)
+//! at its trivial and its sharded size.
 
 use co_core::{DurabilityConfig, OptimizerServer, ServerConfig};
 use co_dataframe::Scalar;
@@ -46,11 +47,24 @@ fn workload(tail: &'static str) -> WorkloadDag {
     dag
 }
 
-/// A three-op chain whose artifacts provably land on at least two
-/// different shards of an `n`-way partition (op names are salted until
-/// the hash-based routing spreads them), so a crash injected *between*
-/// two per-shard journal appends is actually reachable.
-fn cross_shard_workload(n: usize, salt: u64) -> WorkloadDag {
+/// The shard counts every scenario runs at (the crash-point matrices as
+/// one test per count).
+const SHARD_COUNTS: [usize; 2] = [1, 8];
+
+/// The shards a workload's artifacts land on.
+fn shards_of(dag: &WorkloadDag, n: usize) -> BTreeSet<usize> {
+    dag.nodes()
+        .iter()
+        .map(|node| shard_of(node.artifact, n))
+        .collect()
+}
+
+/// A three-op chain over `src` whose artifacts land on exactly `span`
+/// shards of an `n`-way partition (op names are salted until the
+/// hash-based routing agrees). With `span >= 2` a crash injected
+/// *between* two per-shard journal appends is reachable; with `span ==
+/// 1` the publish is committed by its own record.
+fn chain_over(n: usize, salt: u64, span: usize) -> WorkloadDag {
     for attempt in 0.. {
         let mut dag = WorkloadDag::new();
         let s = dag.add_source("src", Value::Aggregate(Scalar::Float(0.0)));
@@ -61,16 +75,35 @@ fn cross_shard_workload(n: usize, salt: u64) -> WorkloadDag {
                 .unwrap();
         }
         dag.mark_terminal(prev).unwrap();
-        let shards: BTreeSet<usize> = dag
-            .nodes()
-            .iter()
-            .map(|node| shard_of(node.artifact, n))
-            .collect();
-        if shards.len() >= 2 {
+        let spread = shards_of(&dag, n).len();
+        if spread == span || (span >= 2 && spread >= 2) {
             return dag;
         }
     }
     unreachable!()
+}
+
+/// A workload spanning as many shards as the partition allows (at
+/// least two when `n > 1`).
+fn cross_shard_workload(n: usize, salt: u64) -> WorkloadDag {
+    chain_over(n, salt, n.min(2))
+}
+
+/// The journal crash points reachable by a publish spanning `span`
+/// shards: the commit record and the gap between two shards' appends
+/// exist only for cross-shard publishes.
+fn crash_points(span: usize) -> Vec<CrashPoint> {
+    let mut points = vec![CrashPoint::JournalMidAppend, CrashPoint::JournalPreFsync];
+    if span > 1 {
+        points.extend([CrashPoint::ShardGapAppend, CrashPoint::CommitPreAppend]);
+    }
+    points
+}
+
+fn config_at(shards: usize) -> ServerConfig {
+    let mut config = ServerConfig::collaborative(u64::MAX);
+    config.shards = shards;
+    config
 }
 
 /// Everything durability must preserve across a restart.
@@ -141,103 +174,213 @@ fn open(config: ServerConfig, dir: &PathBuf) -> (OptimizerServer, co_core::Recov
 
 /// After any crash-and-recover sequence, the live graph and an offline
 /// replay of the data directory must both satisfy every egfsck
-/// invariant — cross-shard invariants included when sharded.
+/// invariant — cross-shard invariants included — and the directory
+/// must hold nothing but the one layout's files.
 fn assert_fsck_clean(server: &OptimizerServer, dir: &std::path::Path) {
     let guards = server.shards().read_all();
-    let live = if guards.len() == 1 {
-        co_graph::fsck::check_graph(&guards[0])
-    } else {
-        let refs: Vec<&co_graph::ExperimentGraph> = guards.iter().map(|g| &**g).collect();
-        let quarantine: Vec<QuarantineEntry> = server
-            .quarantine()
-            .map(|q| {
-                q.entries()
-                    .into_iter()
-                    .map(|(op_hash, name, failures)| QuarantineEntry {
-                        op_hash,
-                        name,
-                        failures,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        co_graph::fsck::check_shards(&refs, &quarantine)
-    };
+    let refs: Vec<&co_graph::ExperimentGraph> = guards.iter().map(|g| &**g).collect();
+    let quarantine: Vec<QuarantineEntry> = server
+        .quarantine()
+        .map(|q| {
+            q.entries()
+                .into_iter()
+                .map(|(op_hash, name, failures)| QuarantineEntry {
+                    op_hash,
+                    name,
+                    failures,
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    let live = co_graph::fsck::check_shards(&refs, &quarantine);
     assert!(live.is_clean(), "live graph: {live}");
+    let n = guards.len();
     drop(guards);
-    let offline = match co_graph::fsck::detect_shard_layout(dir) {
-        Some(n) => co_graph::fsck::check_sharded_data_dir(dir, n, true).unwrap(),
-        None => co_graph::fsck::check_data_dir(dir, true).unwrap(),
-    };
+    let offline = co_graph::fsck::check_data_dir(dir, true).unwrap();
     assert!(offline.is_clean(), "data dir: {offline}");
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let known = name == "eg.commit"
+            || (0..n).any(|k| name == format!("eg-{k}.wal") || name == format!("eg-{k}.egsnap"));
+        assert!(
+            known,
+            "unexpected file {name} in a {n}-shard data directory"
+        );
+    }
 }
 
 #[test]
 fn journal_crash_points_recover_the_committed_prefix() {
-    for point in [CrashPoint::JournalMidAppend, CrashPoint::JournalPreFsync] {
-        let dir = data_dir(&format!("crash_{}", point.name()));
-        let config = ServerConfig::collaborative(u64::MAX);
+    journal_crash_matrix(1);
+}
+
+#[test]
+fn sharded_crash_matrix_recovers_the_committed_prefix() {
+    journal_crash_matrix(8);
+}
+
+/// The journal crash-point matrix at `n` shards: a crash at every reachable
+/// point of a publish spanning every shard it can reopens to exactly the
+/// committed prefix.
+fn journal_crash_matrix(n: usize) {
+    for point in crash_points(n) {
+        let dir = data_dir(&format!("crash_s{n}_{}", point.name()));
+        let config = config_at(n);
         let (server, recovery) = open(config, &dir);
         assert!(!recovery.snapshot_loaded);
-
         let faults = Arc::new(FaultInjector::new());
         server.set_fault_injector(Arc::clone(&faults));
-        server.run_workload(workload("tail_one")).unwrap();
+
+        server.run_workload(cross_shard_workload(n, 1)).unwrap();
         let committed = fingerprint(&server);
 
-        // The crash fires while the second workload's delta is being
-        // journaled: the run is reported failed (its effects would not
-        // survive a restart) …
+        // The crash fires while the second publish is being
+        // journaled: the run is reported failed (its effects would
+        // not survive a restart) …
         faults.arm_crash(point);
-        let err = server.run_workload(workload("tail_two")).unwrap_err();
-        assert!(err.to_string().contains(point.name()), "{err}");
-        assert_eq!(faults.crashes_fired(), 1);
+        let err = server
+            .run_workload(cross_shard_workload(n, 100))
+            .unwrap_err();
+        assert!(err.to_string().contains(point.name()), "{point:?}: {err}");
+        assert_eq!(faults.crashes_fired(), 1, "{point:?}");
         assert_eq!(server.stats().failed_workloads, 1);
 
         // … and the durability layer wedges: later publishes refuse
         // rather than journal records recovery could never replay.
-        let wedged = server.run_workload(workload("tail_three")).unwrap_err();
+        let wedged = server
+            .run_workload(cross_shard_workload(n, 200))
+            .unwrap_err();
         assert!(wedged.to_string().contains("wedged"), "{wedged}");
+        assert!(server.is_wedged());
 
         // "Reboot": a server opened from the same directory holds
         // exactly the committed prefix.
         drop(server);
         let (reopened, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&reopened), committed, "{point:?}");
+        assert_eq!(fingerprint(&reopened), committed, "n={n} {point:?}");
         assert_eq!(
             recovery.torn_tail_truncated,
             point == CrashPoint::JournalMidAppend,
-            "mid-append leaves a torn record, pre-fsync loses it whole"
+            "mid-append leaves a torn record, the others none"
         );
+        if matches!(
+            point,
+            CrashPoint::ShardGapAppend | CrashPoint::CommitPreAppend
+        ) {
+            // Some shard journals hold fully written records for the
+            // crashed publish; without its commit record they are
+            // uncommitted and recovery must skip them.
+            assert!(
+                recovery.journal_records_skipped > 0,
+                "{point:?} leaves uncommitted records to skip: {recovery:?}"
+            );
+            assert!(recovery.render().contains("skipped"));
+        }
 
         // The reopened server serves and persists workloads normally.
-        reopened.run_workload(workload("tail_two")).unwrap();
+        reopened.run_workload(cross_shard_workload(n, 100)).unwrap();
         let after = fingerprint(&reopened);
         drop(reopened);
         let (third, _) = open(config, &dir);
-        assert_eq!(fingerprint(&third), after);
+        assert_eq!(fingerprint(&third), after, "n={n} {point:?}");
         assert_fsck_clean(&third, &dir);
+    }
+}
+
+/// Single-shard publishes (committed by their own journal record) and
+/// cross-shard publishes (sealed by a commit record) interleave on one
+/// 8-shard directory. A crash at every reachable point of every publish
+/// must reopen to exactly the committed prefix, egfsck-clean — and the
+/// single-shard publishes must never touch the commit log.
+#[test]
+fn interleaved_single_and_cross_shard_publishes_recover_at_every_crash_point() {
+    let n = 8;
+    let sequence: Vec<(usize, WorkloadDag)> = (0..4u64)
+        .map(|i| {
+            let span = if i % 2 == 0 { 1 } else { 2 };
+            let dag = chain_over(n, 1000 + i, span);
+            (shards_of(&dag, n).len(), dag)
+        })
+        .collect();
+    assert_eq!(sequence[0].0, 1);
+    assert!(sequence[1].0 >= 2);
+    let commit_len = |dir: &PathBuf| std::fs::metadata(dir.join("eg.commit")).unwrap().len();
+    for (victim, (span, _)) in sequence.iter().enumerate() {
+        for point in crash_points(*span) {
+            let dir = data_dir(&format!("interleaved_{victim}_{}", point.name()));
+            let config = config_at(n);
+            let (server, _) = open(config, &dir);
+            let faults = Arc::new(FaultInjector::new());
+            server.set_fault_injector(Arc::clone(&faults));
+            for (span, dag) in &sequence[..victim] {
+                let before = commit_len(&dir);
+                server.run_workload(dag.clone()).unwrap();
+                assert_eq!(
+                    commit_len(&dir) > before,
+                    *span > 1,
+                    "only a cross-shard publish appends a commit record"
+                );
+            }
+            let committed = fingerprint(&server);
+
+            faults.arm_crash(point);
+            let err = server.run_workload(sequence[victim].1.clone()).unwrap_err();
+            assert!(err.to_string().contains(point.name()), "{point:?}: {err}");
+            assert!(server.is_wedged());
+            drop(server);
+
+            let (reopened, _) = open(config, &dir);
+            assert_eq!(
+                fingerprint(&reopened),
+                committed,
+                "crash at {point:?} in publish {victim}"
+            );
+            assert_fsck_clean(&reopened, &dir);
+
+            // The rest of the sequence publishes normally after the
+            // restart and survives another one.
+            for (_, dag) in &sequence[victim..] {
+                reopened.run_workload(dag.clone()).unwrap();
+            }
+            let after = fingerprint(&reopened);
+            drop(reopened);
+            let (third, _) = open(config, &dir);
+            assert_eq!(fingerprint(&third), after);
+            assert_fsck_clean(&third, &dir);
+        }
     }
 }
 
 #[test]
 fn snapshot_crash_points_never_damage_the_live_snapshot() {
+    snapshot_crash_matrix(1);
+}
+
+#[test]
+fn sharded_compaction_crash_points_never_damage_live_snapshots() {
+    snapshot_crash_matrix(8);
+}
+
+/// The snapshot crash-point matrix at `n` shards: a compaction interrupted at
+/// any point leaves the live snapshots and journals recovering everything
+/// committed.
+fn snapshot_crash_matrix(n: usize) {
     for point in [
         CrashPoint::SnapshotMidWrite,
         CrashPoint::SnapshotPreFsync,
         CrashPoint::SnapshotPreRename,
     ] {
-        let dir = data_dir(&format!("crash_{}", point.name()));
-        let config = ServerConfig::collaborative(u64::MAX);
+        let dir = data_dir(&format!("crash_s{n}_{}", point.name()));
+        let config = config_at(n);
         let (server, _) = open(config, &dir);
         let faults = Arc::new(FaultInjector::new());
         server.set_fault_injector(Arc::clone(&faults));
 
-        // One compacted workload (lives in the snapshot) plus one
-        // journaled workload, so recovery must stitch both sources.
-        server.run_workload(workload("tail_one")).unwrap();
+        // One compacted publish (lives in the snapshots) plus one
+        // journaled publish, so recovery must stitch both sources.
+        server.run_workload(cross_shard_workload(n, 1)).unwrap();
         server.compact().unwrap();
-        server.run_workload(workload("tail_two")).unwrap();
+        server.run_workload(cross_shard_workload(n, 50)).unwrap();
         let committed = fingerprint(&server);
 
         faults.arm_crash(point);
@@ -246,64 +389,84 @@ fn snapshot_crash_points_never_damage_the_live_snapshot() {
         assert_eq!(faults.crashes_fired(), 1);
 
         // The interrupted save left (at most) a temp file behind; the
-        // live snapshot + journal still recover everything committed.
+        // live snapshots + journals still recover everything
+        // committed.
         drop(server);
         let (reopened, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&reopened), committed, "{point:?}");
+        assert_eq!(fingerprint(&reopened), committed, "n={n} {point:?}");
         assert_eq!(recovery.stray_tmp_removed, 1, "{point:?}");
         assert!(recovery.snapshot_loaded);
 
-        // Compaction itself still works after the "crash".
+        // Compaction itself still works after the "crash";
+        // afterwards the journals replay nothing.
         reopened.compact().unwrap();
         assert_eq!(reopened.stats().snapshots_compacted, 1);
         drop(reopened);
         let (third, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&third), committed);
-        assert_eq!(recovery.journal_records_replayed, 0, "journal compacted");
+        assert_eq!(fingerprint(&third), committed, "n={n} {point:?}");
+        assert_eq!(recovery.journal_records_replayed, 0, "journals compacted");
         assert_fsck_clean(&third, &dir);
     }
 }
 
 #[test]
 fn torn_tail_is_truncated_and_reported() {
-    let dir = data_dir("torn_tail");
-    let config = ServerConfig::collaborative(u64::MAX);
-    let (server, _) = open(config, &dir);
-    let faults = Arc::new(FaultInjector::new());
-    server.set_fault_injector(Arc::clone(&faults));
-    server.run_workload(workload("tail_one")).unwrap();
-    faults.arm_crash(CrashPoint::JournalMidAppend);
-    server.run_workload(workload("tail_two")).unwrap_err();
-    drop(server);
+    for n in SHARD_COUNTS {
+        let dir = data_dir(&format!("torn_tail_s{n}"));
+        let config = config_at(n);
+        let (server, _) = open(config, &dir);
+        let faults = Arc::new(FaultInjector::new());
+        server.set_fault_injector(Arc::clone(&faults));
+        server.run_workload(workload("tail_one")).unwrap();
+        faults.arm_crash(CrashPoint::JournalMidAppend);
+        server.run_workload(workload("tail_two")).unwrap_err();
+        drop(server);
 
-    let (reopened, recovery) = open(config, &dir);
-    assert!(recovery.torn_tail_truncated);
-    assert!(recovery.torn_bytes_discarded > 0);
-    assert_eq!(recovery.journal_records_replayed, 1);
-    let stats = reopened.stats();
-    assert_eq!(stats.journal_records_replayed, 1);
-    assert_eq!(stats.torn_tail_truncated, 1);
-    assert!(
-        recovery.render().contains("torn tail"),
-        "{}",
-        recovery.render()
-    );
+        // One record per shard each publish touched.
+        let records = |tail| shards_of(&workload(tail), n).len();
+        let (reopened, recovery) = open(config, &dir);
+        assert!(recovery.torn_tail_truncated);
+        assert!(recovery.torn_bytes_discarded > 0);
+        assert_eq!(recovery.journal_records_replayed, records("tail_one"));
+        let stats = reopened.stats();
+        assert_eq!(stats.journal_records_replayed, records("tail_one"));
+        assert_eq!(stats.torn_tail_truncated, 1);
+        assert!(
+            recovery.render().contains("torn tail"),
+            "{}",
+            recovery.render()
+        );
 
-    // The truncated journal accepts appends again; a third open sees a
-    // clean file with both workloads.
-    reopened.run_workload(workload("tail_two")).unwrap();
-    drop(reopened);
-    let (third, recovery) = open(config, &dir);
-    assert!(!recovery.torn_tail_truncated);
-    assert_eq!(recovery.journal_records_replayed, 2);
-    assert_eq!(third.stats().torn_tail_truncated, 0);
-    assert_fsck_clean(&third, &dir);
+        // The truncated journal accepts appends again; a third open sees
+        // clean files with both workloads.
+        reopened.run_workload(workload("tail_two")).unwrap();
+        drop(reopened);
+        let (third, recovery) = open(config, &dir);
+        assert!(!recovery.torn_tail_truncated);
+        assert_eq!(
+            recovery.journal_records_replayed,
+            records("tail_one") + records("tail_two")
+        );
+        assert_eq!(third.stats().torn_tail_truncated, 0);
+        assert_fsck_clean(&third, &dir);
+    }
 }
 
 #[test]
 fn quarantine_survives_restart() {
-    let dir = data_dir("quarantine_restart");
-    let mut config = ServerConfig::collaborative(u64::MAX);
+    quarantine_restart_at(1);
+}
+
+#[test]
+fn sharded_quarantine_survives_restart() {
+    quarantine_restart_at(8);
+}
+
+/// A tripped quarantine at `n` shards is restored on reopen, and its release
+/// is durable.
+fn quarantine_restart_at(n: usize) {
+    let dir = data_dir(&format!("quarantine_restart_s{n}"));
+    let mut config = config_at(n);
     config.quarantine_after = Some(2);
     let (server, _) = open(config, &dir);
     let faults = Arc::new(FaultInjector::new());
@@ -311,15 +474,16 @@ fn quarantine_survives_restart() {
     server.set_fault_injector(Arc::clone(&faults));
 
     // Two consecutive permanent failures trip the quarantine; the
-    // second run's delta journals the Q+ entry.
+    // second run's delta journals the Q+ entry (in shard 0's
+    // journal).
     server.run_workload(workload("tail_one")).unwrap_err();
     server.run_workload(workload("tail_one")).unwrap_err();
     let committed = fingerprint(&server);
     assert_eq!(committed.quarantine.len(), 1);
 
-    // Restart WITHOUT the fault injector: the operation would succeed
-    // if re-run, but the restored quarantine fast-fails it instead of
-    // letting the poisoned op at the server again.
+    // Restart WITHOUT the fault injector: the operation would
+    // succeed if re-run, but the restored quarantine fast-fails it
+    // instead of letting the poisoned op at the server again.
     drop(server);
     let (reopened, recovery) = open(config, &dir);
     assert_eq!(recovery.quarantine_restored, 1);
@@ -330,7 +494,8 @@ fn quarantine_survives_restart() {
         "{err}"
     );
 
-    // Releasing and succeeding clears the entry durably (Q- journaled).
+    // Releasing and succeeding clears the entry durably (Q-
+    // journaled).
     {
         let quarantine = reopened.quarantine().unwrap();
         let (op, ..) = quarantine.entries()[0];
@@ -347,247 +512,134 @@ fn quarantine_survives_restart() {
 
 #[test]
 fn journal_threshold_triggers_auto_compaction() {
-    let dir = data_dir("auto_compact");
-    let config = ServerConfig::collaborative(u64::MAX);
-    let mut durability = DurabilityConfig::new(&dir);
-    durability.compact_journal_bytes = 1; // every publish crosses it
-    let (server, _) = OptimizerServer::open(config, durability).unwrap();
-    server.run_workload(workload("tail_one")).unwrap();
-    server.run_workload(workload("tail_two")).unwrap();
-    assert!(server.stats().snapshots_compacted >= 2);
-    let committed = fingerprint(&server);
-    drop(server);
+    for n in SHARD_COUNTS {
+        let dir = data_dir(&format!("auto_compact_s{n}"));
+        let config = config_at(n);
+        let mut durability = DurabilityConfig::new(&dir);
+        durability.compact_journal_bytes = 1; // every publish crosses it
+        let (server, _) = OptimizerServer::open(config, durability).unwrap();
+        server.run_workload(workload("tail_one")).unwrap();
+        server.run_workload(workload("tail_two")).unwrap();
+        assert!(server.stats().snapshots_compacted >= 2);
+        let committed = fingerprint(&server);
+        drop(server);
 
-    // Everything lives in the snapshot; the journal replays nothing.
-    let (reopened, recovery) = open(config, &dir);
-    assert!(recovery.snapshot_loaded);
-    assert_eq!(recovery.journal_records_replayed, 0);
-    assert_eq!(fingerprint(&reopened), committed);
-    assert_fsck_clean(&reopened, &dir);
+        // Everything lives in the snapshots; the journals replay nothing.
+        let (reopened, recovery) = open(config, &dir);
+        assert!(recovery.snapshot_loaded);
+        assert_eq!(recovery.journal_records_replayed, 0);
+        assert_eq!(fingerprint(&reopened), committed);
+        assert_fsck_clean(&reopened, &dir);
+    }
 }
 
 #[test]
 fn eviction_is_durable() {
-    let dir = data_dir("evict_durable");
-    let config = ServerConfig::collaborative(u64::MAX);
-    let (server, _) = open(config, &dir);
-    server.run_workload(workload("tail_one")).unwrap();
-    let evict: Vec<ArtifactId> = {
-        let eg = server.eg();
-        eg.storage().materialized_ids()
-    };
-    assert!(!evict.is_empty());
-    for id in &evict {
-        server.evict_artifact(*id);
-    }
-    let committed = fingerprint(&server);
-    for id in &evict {
-        assert!(!committed.mat.contains(&id.0));
-    }
-    drop(server);
-
-    let (reopened, _) = open(config, &dir);
-    assert_eq!(
-        fingerprint(&reopened),
-        committed,
-        "eviction survives restart"
-    );
-    assert_fsck_clean(&reopened, &dir);
-}
-
-// ---- sharded layout (shards = 8) ------------------------------------
-
-/// The crash matrix against the sharded durability layout: every
-/// journal-side crash point — including one fired *between* two shards'
-/// journal appends of a single cross-shard publish — must roll the
-/// whole publish back on reopen. The commit record decides atomicity:
-/// per-shard records whose sequence number never reached `eg.commit`
-/// are skipped by recovery.
-#[test]
-fn sharded_crash_matrix_recovers_the_committed_prefix() {
-    for point in [
-        CrashPoint::JournalMidAppend,
-        CrashPoint::JournalPreFsync,
-        CrashPoint::ShardGapAppend,
-        CrashPoint::CommitPreAppend,
-    ] {
-        let dir = data_dir(&format!("shard_crash_{}", point.name()));
-        let mut config = ServerConfig::collaborative(u64::MAX);
-        config.shards = 8;
-        let (server, recovery) = open(config, &dir);
-        assert!(!recovery.snapshot_loaded);
-        let faults = Arc::new(FaultInjector::new());
-        server.set_fault_injector(Arc::clone(&faults));
-
-        server.run_workload(cross_shard_workload(8, 1)).unwrap();
-        let committed = fingerprint(&server);
-
-        // The crash fires while the second (cross-shard) publish is
-        // being journaled: the run reports failed …
-        faults.arm_crash(point);
-        let err = server
-            .run_workload(cross_shard_workload(8, 100))
-            .unwrap_err();
-        assert!(err.to_string().contains(point.name()), "{point:?}: {err}");
-        assert_eq!(faults.crashes_fired(), 1, "{point:?}");
-        assert_eq!(server.stats().failed_workloads, 1);
-
-        // … and durability wedges exactly like the single-shard layout.
-        let wedged = server
-            .run_workload(cross_shard_workload(8, 200))
-            .unwrap_err();
-        assert!(wedged.to_string().contains("wedged"), "{wedged}");
-        assert!(server.is_wedged());
-
-        drop(server);
-        let (reopened, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&reopened), committed, "{point:?}");
-        if matches!(
-            point,
-            CrashPoint::ShardGapAppend | CrashPoint::CommitPreAppend
-        ) {
-            // Some shard journals hold fully written records for the
-            // crashed publish; without its commit record they are
-            // uncommitted and recovery must skip them.
-            assert!(
-                recovery.journal_records_skipped > 0,
-                "{point:?} leaves uncommitted records to skip: {recovery:?}"
-            );
-            assert!(recovery.render().contains("skipped"));
-        }
-
-        // The reopened server serves and persists normally again.
-        reopened.run_workload(cross_shard_workload(8, 100)).unwrap();
-        let after = fingerprint(&reopened);
-        drop(reopened);
-        let (third, _) = open(config, &dir);
-        assert_eq!(fingerprint(&third), after, "{point:?}");
-        assert_fsck_clean(&third, &dir);
-    }
-}
-
-/// Snapshot crash points during a sharded compaction: an interrupted
-/// per-shard snapshot save leaves (at most) a temp file; the live
-/// snapshots, journals, and commit log still recover everything
-/// committed.
-#[test]
-fn sharded_compaction_crash_points_never_damage_live_snapshots() {
-    for point in [
-        CrashPoint::SnapshotMidWrite,
-        CrashPoint::SnapshotPreFsync,
-        CrashPoint::SnapshotPreRename,
-    ] {
-        let dir = data_dir(&format!("shard_crash_{}", point.name()));
-        let mut config = ServerConfig::collaborative(u64::MAX);
-        config.shards = 8;
+    for n in SHARD_COUNTS {
+        let dir = data_dir(&format!("evict_durable_s{n}"));
+        let config = config_at(n);
         let (server, _) = open(config, &dir);
-        let faults = Arc::new(FaultInjector::new());
-        server.set_fault_injector(Arc::clone(&faults));
-
-        // One compacted publish (lives in the shard snapshots) plus one
-        // journaled publish, so recovery must stitch both sources.
-        server.run_workload(cross_shard_workload(8, 1)).unwrap();
-        server.compact().unwrap();
-        server.run_workload(cross_shard_workload(8, 50)).unwrap();
+        server.run_workload(workload("tail_one")).unwrap();
+        let evict: Vec<ArtifactId> = server
+            .shards()
+            .read_all()
+            .iter()
+            .flat_map(|eg| eg.storage().materialized_ids())
+            .collect();
+        assert!(!evict.is_empty());
+        for id in &evict {
+            server.evict_artifact(*id);
+        }
         let committed = fingerprint(&server);
-
-        faults.arm_crash(point);
-        let err = server.compact().unwrap_err();
-        assert!(err.to_string().contains(point.name()), "{err}");
-
+        for id in &evict {
+            assert!(!committed.mat.contains(&id.0));
+        }
         drop(server);
-        let (reopened, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&reopened), committed, "{point:?}");
-        assert_eq!(recovery.stray_tmp_removed, 1, "{point:?}");
-        assert!(recovery.snapshot_loaded);
 
-        // Compaction itself still works after the "crash"; afterwards
-        // the journals replay nothing.
-        reopened.compact().unwrap();
-        drop(reopened);
-        let (third, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&third), committed, "{point:?}");
-        assert_eq!(recovery.journal_records_replayed, 0, "journals compacted");
-        assert_fsck_clean(&third, &dir);
+        let (reopened, _) = open(config, &dir);
+        assert_eq!(
+            fingerprint(&reopened),
+            committed,
+            "eviction survives restart"
+        );
+        assert_fsck_clean(&reopened, &dir);
     }
 }
 
-/// The quarantine set survives a sharded restart: Q± records are
-/// confined to shard 0's journal and committed like any other publish.
-#[test]
-fn sharded_quarantine_survives_restart() {
-    let dir = data_dir("shard_quarantine_restart");
-    let mut config = ServerConfig::collaborative(u64::MAX);
-    config.shards = 8;
-    config.quarantine_after = Some(2);
-    let (server, _) = open(config, &dir);
-    let faults = Arc::new(FaultInjector::new());
-    faults.fail_op_forever("tail_one", FaultKind::Permanent);
-    server.set_fault_injector(Arc::clone(&faults));
-
-    server.run_workload(workload("tail_one")).unwrap_err();
-    server.run_workload(workload("tail_one")).unwrap_err();
-    let committed = fingerprint(&server);
-    assert_eq!(committed.quarantine.len(), 1);
-
-    drop(server);
-    let (reopened, recovery) = open(config, &dir);
-    assert_eq!(recovery.quarantine_restored, 1);
-    assert_eq!(fingerprint(&reopened), committed);
-    let err = reopened.run_workload(workload("tail_one")).unwrap_err();
-    assert!(
-        matches!(err.error, GraphError::Quarantined { failures: 2, .. }),
-        "{err}"
-    );
-
-    // Releasing and succeeding clears the entry durably (Q- journaled
-    // through shard 0 and committed).
-    {
-        let quarantine = reopened.quarantine().unwrap();
-        let (op, ..) = quarantine.entries()[0];
-        quarantine.release(op);
-    }
-    reopened.run_workload(workload("tail_one")).unwrap();
-    drop(reopened);
-    let (third, recovery) = open(config, &dir);
-    assert_eq!(recovery.quarantine_restored, 0);
-    assert!(fingerprint(&third).quarantine.is_empty());
-    third.run_workload(workload("tail_one")).unwrap();
-    assert_fsck_clean(&third, &dir);
-}
-
-/// A sharded data directory refuses to open under the wrong shard
-/// count — and a single-journal directory refuses a sharded config.
+/// A data directory refuses to open under a different shard count than
+/// it was written with, in both directions.
 #[test]
 fn shard_count_mismatch_is_rejected_at_open() {
     let dir = data_dir("shard_mismatch");
-    let mut config = ServerConfig::collaborative(u64::MAX);
-    config.shards = 8;
+    let config = config_at(8);
     let (server, _) = open(config, &dir);
     server.run_workload(workload("tail_one")).unwrap();
     drop(server);
 
-    let mut wrong = config;
-    wrong.shards = 4;
-    let err = OptimizerServer::open(wrong, DurabilityConfig::new(&dir))
-        .err()
-        .unwrap();
-    assert!(err.to_string().contains("8"), "{err}");
+    for wrong in [4, 1] {
+        let err = OptimizerServer::open(config_at(wrong), DurabilityConfig::new(&dir))
+            .err()
+            .unwrap();
+        assert!(err.to_string().contains("sharded 8 way"), "{err}");
+    }
 
-    wrong.shards = 1;
-    let err = OptimizerServer::open(wrong, DurabilityConfig::new(&dir))
-        .err()
-        .unwrap();
-    assert!(err.to_string().contains("sharded layout"), "{err}");
-
-    // And the reverse: a legacy directory opened with shards > 1.
-    let legacy_dir = data_dir("shard_mismatch_legacy");
-    let single = ServerConfig::collaborative(u64::MAX);
-    let (server, _) = open(single, &legacy_dir);
+    // And the reverse: a one-shard directory opened with shards > 1.
+    let one_dir = data_dir("shard_mismatch_one");
+    let (server, _) = open(config_at(1), &one_dir);
     server.run_workload(workload("tail_one")).unwrap();
     drop(server);
-    let err = OptimizerServer::open(config, DurabilityConfig::new(&legacy_dir))
+    let err = OptimizerServer::open(config, DurabilityConfig::new(&one_dir))
         .err()
         .unwrap();
+    assert!(err.to_string().contains("sharded 1 way"), "{err}");
+}
+
+/// Directories in an earlier on-disk format are refused with a format
+/// error, never served (or fsck'd) as an empty graph: a single-graph
+/// `eg.wal`/`eg.egsnap` pair at every shard count, and per-shard
+/// journals still carrying the `EGWAL 1` magic.
+#[test]
+fn older_layouts_are_rejected_not_read_as_empty() {
+    let listing = |dir: &PathBuf| -> BTreeSet<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect()
+    };
+
+    let single = data_dir("older_single_graph_layout");
+    std::fs::create_dir_all(&single).unwrap();
+    std::fs::write(single.join("eg.wal"), b"EGWAL 1\n").unwrap();
+    std::fs::write(single.join("eg.egsnap"), b"EGSNAP 2\n").unwrap();
+    let before = listing(&single);
+    for n in SHARD_COUNTS {
+        let err = OptimizerServer::open(config_at(n), DurabilityConfig::new(&single))
+            .err()
+            .unwrap();
+        assert!(matches!(err, GraphError::InvalidStructure(_)), "{err}");
+        assert!(err.to_string().contains("single-graph layout"), "{err}");
+    }
+    assert_eq!(listing(&single), before, "a refused open must not write");
+    let err = co_graph::fsck::check_data_dir(&single, true).unwrap_err();
     assert!(err.to_string().contains("single-graph layout"), "{err}");
+
+    let old_journals = data_dir("older_journal_magic");
+    let (server, _) = open(config_at(8), &old_journals);
+    for salt in 0..3 {
+        server.run_workload(cross_shard_workload(8, salt)).unwrap();
+    }
+    drop(server);
+    for k in 0..8 {
+        let path = old_journals.join(format!("eg-{k}.wal"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"EGWAL 1\n");
+        std::fs::write(&path, bytes).unwrap();
+    }
+    let err = OptimizerServer::open(config_at(8), DurabilityConfig::new(&old_journals))
+        .err()
+        .unwrap();
+    assert!(matches!(err, GraphError::InvalidStructure(_)), "{err}");
+    assert!(err.to_string().contains("EGWAL 1"), "{err}");
+    let err = co_graph::fsck::check_data_dir(&old_journals, true).unwrap_err();
+    assert!(err.to_string().contains("EGWAL 1"), "{err}");
 }

@@ -7,9 +7,10 @@
 //! short writes. The server must degrade to read-only (reads, reuse and
 //! warm-starts keep serving; publishes are rejected retriably), queue
 //! the unpersisted deltas, and heal itself — no restart — once the
-//! faults clear. The scrubber half covers cold column files: bit rot is
-//! detected by CRC, healed byte-identically from lineage, and only the
-//! genuinely unrecoverable is quarantined.
+//! faults clear, at one shard and at eight. The scrubber half covers
+//! cold column files: bit rot is detected by CRC, healed
+//! byte-identically from lineage, and only the genuinely unrecoverable
+//! is quarantined.
 
 use co_core::{DurabilityConfig, DurabilityHealth, OptimizerServer, ServerConfig};
 use co_dataframe::{Column, ColumnData, DataFrame, Scalar};
@@ -88,6 +89,15 @@ fn fingerprint(server: &OptimizerServer) -> Fingerprint {
     Fingerprint { vertices, mat }
 }
 
+/// The shard counts every degradation scenario runs at.
+const SHARD_COUNTS: [usize; 2] = [1, 8];
+
+fn config_at(shards: usize) -> ServerConfig {
+    let mut config = ServerConfig::collaborative(u64::MAX);
+    config.shards = shards;
+    config
+}
+
 fn data_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     let _ = std::fs::remove_dir_all(&dir);
@@ -101,10 +111,7 @@ fn open(config: ServerConfig, dir: &PathBuf) -> OptimizerServer {
 }
 
 fn assert_fsck_clean(dir: &std::path::Path) {
-    let report = match co_graph::fsck::detect_shard_layout(dir) {
-        Some(n) => co_graph::fsck::check_sharded_data_dir(dir, n, true).unwrap(),
-        None => co_graph::fsck::check_data_dir(dir, true).unwrap(),
-    };
+    let report = co_graph::fsck::check_data_dir(dir, true).unwrap();
     assert!(report.is_clean(), "data dir: {report}");
 }
 
@@ -114,190 +121,200 @@ fn assert_fsck_clean(dir: &std::path::Path) {
 
 #[test]
 fn failed_fsync_degrades_to_read_only_then_self_heals_without_restart() {
-    let dir = data_dir("io_fsync_heal");
-    let config = ServerConfig::collaborative(u64::MAX);
-    let server = open(config, &dir);
-    let faults = Arc::new(FaultInjector::new());
-    server.set_fault_injector(Arc::clone(&faults));
+    for n in SHARD_COUNTS {
+        let dir = data_dir(&format!("io_fsync_heal_s{n}"));
+        let config = config_at(n);
+        let server = open(config, &dir);
+        let faults = Arc::new(FaultInjector::new());
+        server.set_fault_injector(Arc::clone(&faults));
 
-    server.run_workload(workload("tail_one")).unwrap();
-    assert_eq!(server.durability_health(), DurabilityHealth::Healthy);
+        server.run_workload(workload("tail_one")).unwrap();
+        assert_eq!(server.durability_health(), DurabilityHealth::Healthy);
 
-    // The disk "goes bad": every fsync fails until further notice.
-    // fsyncgate semantics: the failed fsync poisons the journal handle,
-    // so even later writes through it fail until repair reopens it.
-    faults.arm_io_fault(IoFault::FsyncFail, usize::MAX);
-    let err = server.run_workload(workload("tail_two")).unwrap_err();
-    assert!(
-        matches!(err.error, GraphError::ReadOnly { retry_after_ms } if retry_after_ms > 0),
-        "{err}"
-    );
-    assert!(err.error.is_transient(), "read-only must invite a retry");
-    assert_eq!(server.durability_health(), DurabilityHealth::ReadOnly);
-    assert!(!server.is_wedged(), "a live I/O failure must not wedge");
-    assert_eq!(server.backlog_len(), 1, "the failed delta is queued");
+        // The disk "goes bad": every fsync fails until further notice.
+        // fsyncgate semantics: the failed fsync poisons the journal handle,
+        // so even later writes through it fail until repair reopens it.
+        faults.arm_io_fault(IoFault::FsyncFail, usize::MAX);
+        let err = server.run_workload(workload("tail_two")).unwrap_err();
+        assert!(
+            matches!(err.error, GraphError::ReadOnly { retry_after_ms } if retry_after_ms > 0),
+            "{err}"
+        );
+        assert!(err.error.is_transient(), "read-only must invite a retry");
+        assert_eq!(server.durability_health(), DurabilityHealth::ReadOnly);
+        assert!(!server.is_wedged(), "a live I/O failure must not wedge");
+        assert_eq!(server.backlog_len(), 1, "the failed delta is queued");
 
-    // Still read-only: further publishes are rejected at the gate (and
-    // counted), but reads and planning still serve.
-    let err = server.run_workload(workload("tail_three")).unwrap_err();
-    assert!(err.error.is_transient(), "{err}");
-    assert!(server.stats().publishes_rejected_readonly >= 1);
-    server.explain(workload("tail_two")).unwrap();
+        // Still read-only: further publishes are rejected at the gate (and
+        // counted), but reads and planning still serve.
+        let err = server.run_workload(workload("tail_three")).unwrap_err();
+        assert!(err.error.is_transient(), "{err}");
+        assert!(server.stats().publishes_rejected_readonly >= 1);
+        server.explain(workload("tail_two")).unwrap();
 
-    // The disk "comes back": one explicit repair attempt heals the
-    // layer — torn tail truncated, journal reopened on a fresh handle,
-    // backlog re-appended — and publishes flow again. No restart.
-    faults.clear_io_faults();
-    assert!(server.try_repair().unwrap(), "repair should run and heal");
-    assert_eq!(server.durability_health(), DurabilityHealth::Healthy);
-    assert_eq!(server.backlog_len(), 0);
-    assert!(server.stats().repairs_succeeded >= 1);
-    server.run_workload(workload("tail_three")).unwrap();
+        // The disk "comes back": one explicit repair attempt heals the
+        // layer — torn tail truncated, journal reopened on a fresh handle,
+        // backlog re-appended — and publishes flow again. No restart.
+        faults.clear_io_faults();
+        assert!(server.try_repair().unwrap(), "repair should run and heal");
+        assert_eq!(server.durability_health(), DurabilityHealth::Healthy);
+        assert_eq!(server.backlog_len(), 0);
+        assert!(server.stats().repairs_succeeded >= 1);
+        server.run_workload(workload("tail_three")).unwrap();
 
-    // Disk now agrees with memory: a reopen sees tail_one (committed
-    // before the outage), tail_two (healed from the backlog), and
-    // tail_three (published after recovery).
-    let live = fingerprint(&server);
-    drop(server);
-    let reopened = open(config, &dir);
-    assert_eq!(fingerprint(&reopened), live);
-    assert_fsck_clean(&dir);
+        // Disk now agrees with memory: a reopen sees tail_one (committed
+        // before the outage), tail_two (healed from the backlog), and
+        // tail_three (published after recovery).
+        let live = fingerprint(&server);
+        drop(server);
+        let reopened = open(config, &dir);
+        assert_eq!(fingerprint(&reopened), live);
+        assert_fsck_clean(&dir);
+    }
 }
 
 #[test]
 fn enospc_on_journal_append_keeps_exactly_the_committed_prefix_on_reopen() {
-    let dir = data_dir("io_enospc_reopen");
-    let config = ServerConfig::collaborative(u64::MAX);
-    let server = open(config, &dir);
-    let faults = Arc::new(FaultInjector::new());
-    server.set_fault_injector(Arc::clone(&faults));
+    for n in SHARD_COUNTS {
+        let dir = data_dir(&format!("io_enospc_reopen_s{n}"));
+        let config = config_at(n);
+        let server = open(config, &dir);
+        let faults = Arc::new(FaultInjector::new());
+        server.set_fault_injector(Arc::clone(&faults));
 
-    server.run_workload(workload("tail_one")).unwrap();
-    let committed = fingerprint(&server);
+        server.run_workload(workload("tail_one")).unwrap();
+        let committed = fingerprint(&server);
 
-    // Disk full, and it never recovers in this process's lifetime: the
-    // failed publish is rejected retriably, its delta queued in memory.
-    faults.arm_io_fault(IoFault::Enospc, usize::MAX);
-    let err = server.run_workload(workload("tail_two")).unwrap_err();
-    assert!(err.error.is_transient(), "{err}");
-    assert_eq!(server.durability_health(), DurabilityHealth::ReadOnly);
+        // Disk full, and it never recovers in this process's lifetime: the
+        // failed publish is rejected retriably, its delta queued in memory.
+        faults.arm_io_fault(IoFault::Enospc, usize::MAX);
+        let err = server.run_workload(workload("tail_two")).unwrap_err();
+        assert!(err.error.is_transient(), "{err}");
+        assert_eq!(server.durability_health(), DurabilityHealth::ReadOnly);
 
-    // "Power cycle" with the fault still present: the reopened
-    // directory holds exactly the pre-outage committed prefix — the
-    // short write the ENOSPC produced must have been truncated away.
-    drop(server);
-    let reopened = open(config, &dir);
-    assert_eq!(fingerprint(&reopened), committed);
-    reopened.run_workload(workload("tail_two")).unwrap();
-    assert_fsck_clean(&dir);
+        // "Power cycle" with the fault still present: the reopened
+        // directory holds exactly the pre-outage committed prefix — the
+        // short write the ENOSPC produced must have been truncated away.
+        drop(server);
+        let reopened = open(config, &dir);
+        assert_eq!(fingerprint(&reopened), committed);
+        reopened.run_workload(workload("tail_two")).unwrap();
+        assert_fsck_clean(&dir);
+    }
 }
 
 #[test]
 fn short_write_mid_compaction_preserves_the_committed_prefix() {
-    let dir = data_dir("io_enospc_compact");
-    let config = ServerConfig::collaborative(u64::MAX);
-    let server = open(config, &dir);
-    let faults = Arc::new(FaultInjector::new());
-    server.set_fault_injector(Arc::clone(&faults));
+    for n in SHARD_COUNTS {
+        let dir = data_dir(&format!("io_enospc_compact_s{n}"));
+        let config = config_at(n);
+        let server = open(config, &dir);
+        let faults = Arc::new(FaultInjector::new());
+        server.set_fault_injector(Arc::clone(&faults));
 
-    server.run_workload(workload("tail_one")).unwrap();
-    server.compact().unwrap();
-    server.run_workload(workload("tail_two")).unwrap();
-    let committed = fingerprint(&server);
+        server.run_workload(workload("tail_one")).unwrap();
+        server.compact().unwrap();
+        server.run_workload(workload("tail_two")).unwrap();
+        let committed = fingerprint(&server);
 
-    // ENOSPC mid-compaction: the snapshot temp file dies before the
-    // rename, so the live snapshot + journal are untouched.
-    faults.arm_io_fault(IoFault::Enospc, usize::MAX);
-    let err = server.compact().unwrap_err();
-    assert!(err.to_string().contains("enospc"), "{err}");
+        // ENOSPC mid-compaction: the snapshot temp file dies before the
+        // rename, so the live snapshot + journal are untouched.
+        faults.arm_io_fault(IoFault::Enospc, usize::MAX);
+        let err = server.compact().unwrap_err();
+        assert!(err.to_string().contains("enospc"), "{err}");
 
-    // A short write mid-compaction behaves the same way.
-    faults.clear_io_faults();
-    faults.arm_io_fault(IoFault::ShortWrite, 1);
-    let err = server.compact().unwrap_err();
-    assert!(err.to_string().contains("short-write"), "{err}");
+        // A short write mid-compaction behaves the same way.
+        faults.clear_io_faults();
+        faults.arm_io_fault(IoFault::ShortWrite, 1);
+        let err = server.compact().unwrap_err();
+        assert!(err.to_string().contains("short-write"), "{err}");
 
-    // Back on a good disk: compaction succeeds and nothing was lost
-    // (the interrupted saves only ever touched the temp file).
-    faults.clear_io_faults();
-    if server.durability_health() == DurabilityHealth::ReadOnly {
-        server.try_repair().unwrap();
+        // Back on a good disk: compaction succeeds and nothing was lost
+        // (the interrupted saves only ever touched the temp file).
+        faults.clear_io_faults();
+        if server.durability_health() == DurabilityHealth::ReadOnly {
+            server.try_repair().unwrap();
+        }
+        server.compact().unwrap();
+        assert_eq!(fingerprint(&server), committed);
+        drop(server);
+        let reopened = open(config, &dir);
+        assert_eq!(fingerprint(&reopened), committed);
+        assert_fsck_clean(&dir);
     }
-    server.compact().unwrap();
-    assert_eq!(fingerprint(&server), committed);
-    drop(server);
-    let reopened = open(config, &dir);
-    assert_eq!(fingerprint(&reopened), committed);
-    assert_fsck_clean(&dir);
 }
 
 #[test]
 fn repeated_failed_repairs_wedge_permanently() {
-    let dir = data_dir("io_wedge_cap");
-    let config = ServerConfig::collaborative(u64::MAX);
-    let mut durability = DurabilityConfig::new(&dir);
-    durability.max_repair_attempts = 3;
-    let (server, _) = OptimizerServer::open(config, durability).unwrap();
-    let faults = Arc::new(FaultInjector::new());
-    server.set_fault_injector(Arc::clone(&faults));
+    for n in SHARD_COUNTS {
+        let dir = data_dir(&format!("io_wedge_cap_s{n}"));
+        let config = config_at(n);
+        let mut durability = DurabilityConfig::new(&dir);
+        durability.max_repair_attempts = 3;
+        let (server, _) = OptimizerServer::open(config, durability).unwrap();
+        let faults = Arc::new(FaultInjector::new());
+        server.set_fault_injector(Arc::clone(&faults));
 
-    server.run_workload(workload("tail_one")).unwrap();
-    faults.arm_io_fault(IoFault::FsyncFail, usize::MAX);
-    let err = server.run_workload(workload("tail_two")).unwrap_err();
-    assert!(err.error.is_transient(), "{err}");
+        server.run_workload(workload("tail_one")).unwrap();
+        faults.arm_io_fault(IoFault::FsyncFail, usize::MAX);
+        let err = server.run_workload(workload("tail_two")).unwrap_err();
+        assert!(err.error.is_transient(), "{err}");
 
-    // Three *counted* failed repairs exhaust the budget.
-    for attempt in 1..=3 {
-        assert!(server.try_repair().is_err(), "attempt {attempt}");
+        // Three *counted* failed repairs exhaust the budget.
+        for attempt in 1..=3 {
+            assert!(server.try_repair().is_err(), "attempt {attempt}");
+        }
+        assert!(server.is_wedged());
+        assert_eq!(server.durability_health(), DurabilityHealth::Wedged);
+        let err = server.try_repair().unwrap_err();
+        assert!(err.to_string().contains("wedged"), "{err}");
+
+        // Wedged is terminal: even with the disk healthy again, publishes
+        // refuse until a restart (which recovers the committed prefix).
+        faults.clear_io_faults();
+        let err = server.run_workload(workload("tail_three")).unwrap_err();
+        assert!(err.to_string().contains("wedged"), "{err}");
+        assert_eq!(server.stats().repair_attempts, 3);
+        drop(server);
+        let reopened = open(config, &dir);
+        reopened.run_workload(workload("tail_two")).unwrap();
+        assert_fsck_clean(&dir);
     }
-    assert!(server.is_wedged());
-    assert_eq!(server.durability_health(), DurabilityHealth::Wedged);
-    let err = server.try_repair().unwrap_err();
-    assert!(err.to_string().contains("wedged"), "{err}");
-
-    // Wedged is terminal: even with the disk healthy again, publishes
-    // refuse until a restart (which recovers the committed prefix).
-    faults.clear_io_faults();
-    let err = server.run_workload(workload("tail_three")).unwrap_err();
-    assert!(err.to_string().contains("wedged"), "{err}");
-    assert_eq!(server.stats().repair_attempts, 3);
-    drop(server);
-    let reopened = open(config, &dir);
-    reopened.run_workload(workload("tail_two")).unwrap();
-    assert_fsck_clean(&dir);
 }
 
 #[test]
 fn publish_storms_during_an_outage_never_wedge() {
-    let dir = data_dir("io_storm_no_wedge");
-    let config = ServerConfig::collaborative(u64::MAX);
-    let mut durability = DurabilityConfig::new(&dir);
-    durability.max_repair_attempts = 2;
-    let (server, _) = OptimizerServer::open(config, durability).unwrap();
-    let faults = Arc::new(FaultInjector::new());
-    server.set_fault_injector(Arc::clone(&faults));
+    for n in SHARD_COUNTS {
+        let dir = data_dir(&format!("io_storm_no_wedge_s{n}"));
+        let config = config_at(n);
+        let mut durability = DurabilityConfig::new(&dir);
+        durability.max_repair_attempts = 2;
+        let (server, _) = OptimizerServer::open(config, durability).unwrap();
+        let faults = Arc::new(FaultInjector::new());
+        server.set_fault_injector(Arc::clone(&faults));
 
-    faults.arm_io_fault(IoFault::FsyncFail, usize::MAX);
-    // Far more failed publishes than the wedge cap: every one triggers
-    // (at most) an *opportunistic* repair, which must not burn the
-    // budget — only deliberate try_repair calls may wedge the layer.
-    for i in 0..10 {
-        let err = server
-            .run_workload(workload(&format!("storm_{i}")))
-            .unwrap_err();
-        assert!(err.error.is_transient(), "storm publish {i}: {err}");
+        faults.arm_io_fault(IoFault::FsyncFail, usize::MAX);
+        // Far more failed publishes than the wedge cap: every one triggers
+        // (at most) an *opportunistic* repair, which must not burn the
+        // budget — only deliberate try_repair calls may wedge the layer.
+        for i in 0..10 {
+            let err = server
+                .run_workload(workload(&format!("storm_{i}")))
+                .unwrap_err();
+            assert!(err.error.is_transient(), "storm publish {i}: {err}");
+        }
+        assert_eq!(server.durability_health(), DurabilityHealth::ReadOnly);
+        assert!(!server.is_wedged());
+
+        faults.clear_io_faults();
+        assert!(server.try_repair().unwrap());
+        server.run_workload(workload("after_storm")).unwrap();
+        let live = fingerprint(&server);
+        drop(server);
+        let reopened = open(config, &dir);
+        assert_eq!(fingerprint(&reopened), live);
+        assert_fsck_clean(&dir);
     }
-    assert_eq!(server.durability_health(), DurabilityHealth::ReadOnly);
-    assert!(!server.is_wedged());
-
-    faults.clear_io_faults();
-    assert!(server.try_repair().unwrap());
-    server.run_workload(workload("after_storm")).unwrap();
-    let live = fingerprint(&server);
-    drop(server);
-    let reopened = open(config, &dir);
-    assert_eq!(fingerprint(&reopened), live);
-    assert_fsck_clean(&dir);
 }
 
 // ---------------------------------------------------------------------

@@ -5,6 +5,8 @@
 //! waits are impossible by construction — and after a crash (injected
 //! at any journal-side point, including between two shards' appends of
 //! one publish) a reopened server holds exactly the committed prefix.
+//! One shard, the trivial case of the same design, runs every scenario
+//! too.
 
 use co_core::{DurabilityConfig, OptimizerServer, ServerConfig};
 use co_dataframe::Scalar;
@@ -88,18 +90,18 @@ fn open_sharded(shards: usize, dir: &PathBuf) -> OptimizerServer {
         .0
 }
 
-fn assert_sharded_fsck_clean(dir: &std::path::Path, shards: usize) {
-    let report = co_graph::fsck::check_sharded_data_dir(dir, shards, true).unwrap();
+fn assert_fsck_clean(dir: &std::path::Path) {
+    let report = co_graph::fsck::check_data_dir(dir, true).unwrap();
     assert!(report.is_clean(), "{report}");
 }
 
-/// 8 publishers × 6 pseudo-random cross-shard workloads each, at both a
-/// coarse (2) and a fine (8) partition. Completion IS the deadlock
+/// 8 publishers × 6 pseudo-random cross-shard workloads each, at one
+/// shard, a coarse (2) and a fine (8) partition. Completion IS the deadlock
 /// assertion; the reopen asserts the committed prefix (here: all of it,
 /// since nothing crashed) survives byte-exactly.
 #[test]
 fn concurrent_random_subset_publishes_never_deadlock() {
-    for shards in [2, 8] {
+    for shards in [1, 2, 8] {
         let dir = data_dir(&format!("stress_{shards}"));
         let server = Arc::new(open_sharded(shards, &dir));
         crossbeam::thread::scope(|scope| {
@@ -137,7 +139,7 @@ fn concurrent_random_subset_publishes_never_deadlock() {
         drop(server);
         let reopened = open_sharded(shards, &dir);
         assert_eq!(fingerprint(&reopened), committed, "shards = {shards}");
-        assert_sharded_fsck_clean(&dir, shards);
+        assert_fsck_clean(&dir);
     }
 }
 
@@ -147,13 +149,14 @@ fn concurrent_random_subset_publishes_never_deadlock() {
 /// phase committed survives.
 #[test]
 fn crash_after_concurrent_stress_recovers_committed_prefix() {
-    let shards = 8;
-    for point in [
-        CrashPoint::JournalMidAppend,
-        CrashPoint::ShardGapAppend,
-        CrashPoint::CommitPreAppend,
-    ] {
-        let dir = data_dir(&format!("stress_crash_{}", point.name()));
+    let matrix = [
+        (1, CrashPoint::JournalMidAppend),
+        (8, CrashPoint::JournalMidAppend),
+        (8, CrashPoint::ShardGapAppend),
+        (8, CrashPoint::CommitPreAppend),
+    ];
+    for (shards, point) in matrix {
+        let dir = data_dir(&format!("stress_crash_s{shards}_{}", point.name()));
         let server = Arc::new(open_sharded(shards, &dir));
         crossbeam::thread::scope(|scope| {
             for t in 0..4u64 {
@@ -168,8 +171,9 @@ fn crash_after_concurrent_stress_recovers_committed_prefix() {
         .unwrap();
         let committed = fingerprint(&server);
 
-        // One more publish, guaranteed to span ≥ 2 shards so the
-        // between-appends point is reachable, with the crash armed.
+        // One more publish, guaranteed to span ≥ 2 shards (when there
+        // are two) so the between-appends point is reachable, with the
+        // crash armed.
         let victim = (10_000..)
             .map(random_workload)
             .find(|dag| {
@@ -178,7 +182,7 @@ fn crash_after_concurrent_stress_recovers_committed_prefix() {
                     .iter()
                     .map(|n| shard_of(n.artifact, shards))
                     .collect();
-                set.len() >= 2
+                set.len() >= shards.min(2)
             })
             .unwrap();
         let faults = Arc::new(FaultInjector::new());
@@ -192,7 +196,7 @@ fn crash_after_concurrent_stress_recovers_committed_prefix() {
         drop(server);
         let reopened = open_sharded(shards, &dir);
         assert_eq!(fingerprint(&reopened), committed, "{point:?}");
-        assert_sharded_fsck_clean(&dir, shards);
+        assert_fsck_clean(&dir);
 
         // Eviction shares the commit path; prove it still round-trips
         // after the recovery.
@@ -224,8 +228,13 @@ fn crash_after_concurrent_stress_recovers_committed_prefix() {
 /// the final directory is snapshots-only.
 #[test]
 fn threshold_compaction_under_concurrency_is_deadlock_free() {
-    let shards = 8;
-    let dir = data_dir("stress_compact");
+    for shards in [1, 8] {
+        threshold_compaction_under_concurrency(shards);
+    }
+}
+
+fn threshold_compaction_under_concurrency(shards: usize) {
+    let dir = data_dir(&format!("stress_compact_s{shards}"));
     let mut config = ServerConfig::collaborative(u64::MAX);
     config.shards = shards;
     let mut durability = DurabilityConfig::new(&dir);
@@ -253,5 +262,5 @@ fn threshold_compaction_under_concurrency_is_deadlock_free() {
     let (reopened, recovery) = OptimizerServer::open(config2, DurabilityConfig::new(&dir)).unwrap();
     assert!(recovery.snapshot_loaded);
     assert_eq!(fingerprint(&reopened), committed);
-    assert_sharded_fsck_clean(&dir, shards);
+    assert_fsck_clean(&dir);
 }

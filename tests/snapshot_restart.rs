@@ -1,30 +1,37 @@
 //! Server-restart behavior: the Experiment Graph's meta-data survives
 //! through a snapshot; contents repopulate as workloads execute.
 
-use co_core::{OptimizerServer, ServerConfig};
+use co_core::{DurabilityConfig, OptimizerServer, ServerConfig};
 use co_graph::snapshot;
 use co_workloads::data::{home_credit, HomeCreditScale};
 use co_workloads::kaggle;
+use std::path::PathBuf;
 
 #[test]
 fn restart_keeps_meta_and_regains_reuse() {
     let data = home_credit(&HomeCreditScale::tiny());
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("snapshot_restart");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig::collaborative(u64::MAX);
 
-    // Session 1: run two workloads, snapshot the graph.
-    let first = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
+    // Session 1: run two workloads, compact them into the snapshot.
+    let (first, _) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
     first.run_workload(kaggle::w1(&data).unwrap()).unwrap();
     first.run_workload(kaggle::w2(&data).unwrap()).unwrap();
-    let text = snapshot::to_snapshot(&first.eg()).unwrap();
+    first.compact().unwrap();
     let n_before = first.eg().n_vertices();
+    drop(first);
 
-    // Session 2 (after a "restart"): restore the meta-data.
-    let restored = snapshot::from_snapshot(&text, true).unwrap();
-    assert_eq!(restored.n_vertices(), n_before);
-    let second =
-        OptimizerServer::with_graph(ServerConfig::collaborative(u64::MAX), restored).unwrap();
+    // Session 2 (after a restart): the meta-data comes back from the
+    // snapshot alone.
+    let (second, recovery) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
+    assert!(recovery.snapshot_loaded);
+    assert_eq!(recovery.journal_records_replayed, 0);
+    assert_eq!(second.eg().n_vertices(), n_before);
 
     // The graph knows every artifact of W1 (frequencies, costs) but holds
-    // no content, so the first resubmission recomputes —
+    // no content beyond what restored mat flags promise, so the first
+    // resubmission recomputes —
     let (_, rerun) = second.run_workload(kaggle::w1(&data).unwrap()).unwrap();
     assert_eq!(rerun.artifacts_loaded, 0, "no content right after restart");
     assert!(rerun.ops_executed > 0);
@@ -47,28 +54,36 @@ fn restart_keeps_meta_and_regains_reuse() {
 }
 
 #[test]
-fn restore_rejects_mismatched_dedup_mode() {
+fn reopen_derives_the_dedup_mode_from_the_config() {
+    // The data directory does not fix the store's dedup mode: `open`
+    // builds the store in the mode the configured materializer budgets
+    // in, so the two cannot disagree. A directory written under SA (column
+    // dedup) reopens under Helix (plain store) and back, keeping its
+    // meta-data each time.
     let data = home_credit(&HomeCreditScale::tiny());
-    let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
-    server.run_workload(kaggle::w1(&data).unwrap()).unwrap();
-    let text = snapshot::to_snapshot(&server.eg()).unwrap();
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("dedup_reopen");
+    let _ = std::fs::remove_dir_all(&dir);
+    let sa = ServerConfig::collaborative(u64::MAX);
+    let helix = ServerConfig::helix(u64::MAX);
+    let terminal = kaggle::w1(&data).unwrap().nodes().last().unwrap().artifact;
 
-    // Restored with a plain (non-dedup) store, but the storage-aware
-    // materializer budgets deduplicated bytes: the constructor refuses.
-    let plain = snapshot::from_snapshot(&text, false).unwrap();
-    let err = OptimizerServer::with_graph(ServerConfig::collaborative(u64::MAX), plain);
-    assert!(matches!(
-        err,
-        Err(co_graph::GraphError::InvalidStructure(_))
-    ));
+    let (first, _) = OptimizerServer::open(sa, DurabilityConfig::new(&dir)).unwrap();
+    first.run_workload(kaggle::w1(&data).unwrap()).unwrap();
+    assert!(first.eg().storage().dedup_enabled());
+    let n_before = first.eg().n_vertices();
+    drop(first);
 
-    // And the other way around: a dedup store under a baseline config.
-    let dedup = snapshot::from_snapshot(&text, true).unwrap();
-    let err = OptimizerServer::with_graph(ServerConfig::baseline(), dedup);
-    assert!(matches!(
-        err,
-        Err(co_graph::GraphError::InvalidStructure(_))
-    ));
+    let (second, _) = OptimizerServer::open(helix, DurabilityConfig::new(&dir)).unwrap();
+    assert!(!second.eg().storage().dedup_enabled());
+    assert_eq!(second.eg().n_vertices(), n_before);
+    second.run_workload(kaggle::w1(&data).unwrap()).unwrap();
+    assert_eq!(second.eg().vertex(terminal).unwrap().frequency, 2);
+    drop(second);
+
+    let (third, _) = OptimizerServer::open(sa, DurabilityConfig::new(&dir)).unwrap();
+    assert!(third.eg().storage().dedup_enabled());
+    assert_eq!(third.eg().n_vertices(), n_before);
+    assert_eq!(third.eg().vertex(terminal).unwrap().frequency, 2);
 }
 
 #[test]
@@ -76,7 +91,8 @@ fn snapshot_is_stable_across_round_trips() {
     let data = home_credit(&HomeCreditScale::tiny());
     let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
     server.run_workload(kaggle::w4(&data).unwrap()).unwrap();
-    let once = snapshot::to_snapshot(&server.eg()).unwrap();
-    let twice = snapshot::to_snapshot(&snapshot::from_snapshot(&once, true).unwrap()).unwrap();
+    let once = snapshot::to_shard_snapshot(&server.eg(), &[], 1).unwrap();
+    let restored = snapshot::from_shard_snapshot(&once, true, "<memory>").unwrap();
+    let twice = snapshot::to_shard_snapshot(&restored.graph, &[], 1).unwrap();
     assert_eq!(once, twice, "snapshot must be a fixpoint");
 }

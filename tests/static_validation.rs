@@ -372,7 +372,7 @@ fn fsck_checks_a_durability_directory() {
 
     // A torn journal tail is reported as a note, not a violation, and
     // the file is left untouched (offline check is read-only).
-    let wal = dir.join(fsck::JOURNAL_FILE);
+    let wal = dir.join(co_graph::shard::shard_journal_file(0));
     let len_before = std::fs::metadata(&wal).unwrap().len();
     use std::io::Write as _;
     let mut f = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
