@@ -3,7 +3,7 @@
 //! Kaggle workloads.
 
 use co_core::materialize::{
-    GreedyMaterializer, HelixMaterializer, Materializer, StorageAwareMaterializer,
+    materialize, GreedyMaterializer, HelixMaterializer, StorageAwareMaterializer,
 };
 use co_core::server::{MaterializerKind, ReuseKind};
 use co_core::{CostModel, OptimizerServer, ServerConfig};
@@ -59,7 +59,12 @@ fn bench_materializers(c: &mut Criterion) {
         b.iter_batched(
             || populated_eg(false).0,
             |mut eg| {
-                GreedyMaterializer::new(budget).run(&mut eg, &available, &cost);
+                materialize(
+                    &GreedyMaterializer::new(budget),
+                    &mut [&mut eg],
+                    &available,
+                    &cost,
+                );
                 black_box(eg.storage().n_artifacts())
             },
             criterion::BatchSize::LargeInput,
@@ -69,7 +74,12 @@ fn bench_materializers(c: &mut Criterion) {
         b.iter_batched(
             || populated_eg(false).0,
             |mut eg| {
-                HelixMaterializer { budget }.run(&mut eg, &available, &cost);
+                materialize(
+                    &HelixMaterializer { budget },
+                    &mut [&mut eg],
+                    &available,
+                    &cost,
+                );
                 black_box(eg.storage().n_artifacts())
             },
             criterion::BatchSize::LargeInput,
@@ -79,7 +89,12 @@ fn bench_materializers(c: &mut Criterion) {
         b.iter_batched(
             || populated_eg(true).0,
             |mut eg| {
-                StorageAwareMaterializer::new(budget).run(&mut eg, &available, &cost);
+                materialize(
+                    &StorageAwareMaterializer::new(budget),
+                    &mut [&mut eg],
+                    &available,
+                    &cost,
+                );
                 black_box(eg.storage().n_artifacts())
             },
             criterion::BatchSize::LargeInput,

@@ -8,12 +8,13 @@
 //! several milliseconds by the deterministic fault injector, modeling
 //! operations that wait on I/O rather than CPU. Because the staged
 //! pipeline (DESIGN.md §9) holds no Experiment Graph lock during
-//! execution, those stalls overlap across submitters; and because each
-//! unique training artifact hashes to its own shard, publishes lock only
-//! the shards they touch, so high submitter counts keep scaling where a
-//! single graph-wide write lock would plateau. Per-shard lock-wait
-//! nanoseconds are sampled around every run: they quantify how much
-//! publish-side contention remains at each thread count. The emitted
+//! execution, those stalls overlap across submitters. Publishes do not
+//! overlap: each one takes every shard's write lock and runs the
+//! configured materializer over the whole graph, as the paper's single
+//! updater does, so the publish section bounds throughput once it
+//! outweighs the stall. Per-shard lock-wait nanoseconds are sampled
+//! around every run: they quantify how much publish-side contention
+//! builds up at each thread count. The emitted
 //! `BENCH_server_throughput.json` lets successive revisions track the
 //! trajectory.
 

@@ -47,7 +47,9 @@ pub fn server(materializer: MaterializerKind, reuse: ReuseKind, budget: u64) -> 
 /// sequence: a figure must never be plotted off a graph that broke an
 /// invariant. Panics with the full violation report.
 pub fn assert_graph_clean(server: &OptimizerServer) {
-    let report = co_graph::fsck::check_graph(&server.eg());
+    let guards = server.shards().read_all();
+    let shards: Vec<&co_graph::ExperimentGraph> = guards.iter().map(|g| &**g).collect();
+    let report = co_graph::fsck::check_shards(&shards, &[]);
     assert!(report.is_clean(), "egfsck after bench run: {report}");
 }
 

@@ -12,7 +12,7 @@
 //! content is on hand (materialized ⇒ instantly reusable or
 //! warmstartable).
 
-use co_graph::{ArtifactId, ExperimentGraph, NodeKind};
+use co_graph::{ArtifactId, EgView, GraphQuery, NodeKind};
 
 /// One ranked model suggestion.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,11 +33,13 @@ pub struct ModelRecommendation {
     pub pipeline_depth: usize,
 }
 
-fn depth_of(eg: &ExperimentGraph, id: ArtifactId) -> usize {
+fn depth_of(eg: &EgView<'_>, id: ArtifactId) -> usize {
     // Longest path from any source; graphs are modest, recompute per call.
     let mut depth = std::collections::HashMap::new();
-    for v in eg.topo_order() {
-        let vertex = eg.vertex(*v).expect("topo lists known vertices"); // co-lint:allow(no-panic) topo_order only yields ids present in the graph
+    for v in eg.topo_order().iter() {
+        let Some(vertex) = eg.lookup(*v) else {
+            continue;
+        };
         let d = vertex
             .parents
             .iter()
@@ -64,7 +66,7 @@ fn rank(mut out: Vec<ModelRecommendation>, top_k: usize) -> Vec<ModelRecommendat
 /// The community leaderboard: the best models anywhere in the graph,
 /// ranked by quality (ties by recurrence).
 #[must_use]
-pub fn leaderboard(eg: &ExperimentGraph, top_k: usize) -> Vec<ModelRecommendation> {
+pub fn leaderboard(eg: &EgView<'_>, top_k: usize) -> Vec<ModelRecommendation> {
     let out = eg
         .vertices()
         .filter(|v| v.kind == NodeKind::Model)
@@ -73,7 +75,7 @@ pub fn leaderboard(eg: &ExperimentGraph, top_k: usize) -> Vec<ModelRecommendatio
             description: v.description.clone(),
             quality: v.quality,
             frequency: v.frequency,
-            materialized: eg.is_materialized(v.id),
+            materialized: eg.has_content(v.id),
             pipeline_depth: depth_of(eg, v.id),
         })
         .collect();
@@ -87,24 +89,24 @@ pub fn leaderboard(eg: &ExperimentGraph, top_k: usize) -> Vec<ModelRecommendatio
 /// pick (§6.2).
 #[must_use]
 pub fn recommend_for_input(
-    eg: &ExperimentGraph,
+    eg: &EgView<'_>,
     train_input: ArtifactId,
     top_k: usize,
 ) -> Vec<ModelRecommendation> {
-    let Ok(input) = eg.vertex(train_input) else {
+    let Some(input) = eg.lookup(train_input) else {
         return Vec::new();
     };
     let out = input
         .children
         .iter()
-        .filter_map(|c| eg.vertex(*c).ok())
+        .filter_map(|c| eg.lookup(*c))
         .filter(|v| v.kind == NodeKind::Model)
         .map(|v| ModelRecommendation {
             artifact: v.id,
             description: v.description.clone(),
             quality: v.quality,
             frequency: v.frequency,
-            materialized: eg.is_materialized(v.id),
+            materialized: eg.has_content(v.id),
             pipeline_depth: depth_of(eg, v.id),
         })
         .collect();
@@ -169,7 +171,8 @@ mod tests {
         s.output(m).unwrap();
         server.run_workload(s.into_dag()).unwrap();
 
-        let eg = server.eg();
+        let guards = server.shards().read_all();
+        let eg = EgView::of(&guards);
         let board = leaderboard(&eg, 10);
         assert_eq!(board.len(), 3);
         assert!(board[0].quality >= board[1].quality);
@@ -191,7 +194,8 @@ mod tests {
         let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
         submit(&server, 0.1, 0); // chance-level model
         submit(&server, 0.5, 300);
-        let eg = server.eg();
+        let guards = server.shards().read_all();
+        let eg = EgView::of(&guards);
         let input = ArtifactId::source("t");
         let advice = recommend_for_input(&eg, input, 10);
         assert_eq!(advice.len(), 2, "two logistic models trained on the source");
@@ -209,11 +213,42 @@ mod tests {
         submit(&server, 0.5, 300);
         submit(&server, 0.5, 300); // exact repeat: frequency 2
         submit(&server, 0.5, 301); // same quality in practice, frequency 1
-        let eg = server.eg();
+        let guards = server.shards().read_all();
+        let eg = EgView::of(&guards);
         let advice = recommend_for_input(&eg, ArtifactId::source("t"), 10);
         assert_eq!(advice.len(), 2);
         if (advice[0].quality - advice[1].quality).abs() < 1e-12 {
             assert!(advice[0].frequency >= advice[1].frequency);
         }
+    }
+
+    #[test]
+    fn advice_and_graph_stats_match_at_one_and_eight_shards() {
+        let run = |shards: usize| {
+            let mut config = ServerConfig::collaborative(8 << 10);
+            config.shards = shards;
+            let server = OptimizerServer::new(config);
+            for (lr, max_iter) in [(0.1, 0), (0.5, 300), (0.5, 300), (0.2, 50)] {
+                submit(&server, lr, max_iter);
+            }
+            let mut s = Script::new();
+            let d = s.load("t", frame());
+            let m = s.train_gbt(d, "y", GbtParams::default()).unwrap();
+            s.output(m).unwrap();
+            server.run_workload(s.into_dag()).unwrap();
+            let guards = server.shards().read_all();
+            let eg = EgView::of(&guards);
+            (
+                leaderboard(&eg, 10),
+                recommend_for_input(&eg, ArtifactId::source("t"), 10),
+                co_graph::export::eg_stats(&eg),
+            )
+        };
+        let one = run(1);
+        assert_eq!(one.0.len(), 4);
+        // The budget binds: some models are stored, not all.
+        let stored = one.2.n_materialized;
+        assert!(stored > 1 && stored < one.2.n_vertices, "{:?}", one.2);
+        assert_eq!(one, run(8));
     }
 }

@@ -2,9 +2,11 @@
 //! vertices by utility and keep the prefix that fits the budget, counting
 //! *nominal* artifact sizes (no deduplication) — the paper's `HM`.
 
-use super::{content_of, evict_except, source_store_bytes, utilities, Materializer};
+use super::{
+    content_of, evictions_except, source_store_bytes, utilities, MatDecision, Materializer,
+};
 use crate::cost::CostModel;
-use co_graph::{ArtifactId, ExperimentGraph, Value};
+use co_graph::{ArtifactId, EgView, GraphQuery, Value};
 use std::collections::{HashMap, HashSet};
 
 /// Algorithm 1 with plain size accounting.
@@ -38,7 +40,7 @@ impl GreedyMaterializer {
     /// reserve budget.
     fn desired(
         &self,
-        eg: &ExperimentGraph,
+        eg: &EgView<'_>,
         available: &HashMap<ArtifactId, Value>,
         cost: &CostModel,
     ) -> Vec<ArtifactId> {
@@ -48,7 +50,7 @@ impl GreedyMaterializer {
             if self.max_artifacts.is_some_and(|m| picked.len() >= m) {
                 break;
             }
-            if !available.contains_key(&c.id) && !eg.is_materialized(c.id) {
+            if !available.contains_key(&c.id) && !eg.has_content(c.id) {
                 continue;
             }
             if used + c.size <= self.budget {
@@ -65,24 +67,21 @@ impl Materializer for GreedyMaterializer {
         "HM"
     }
 
-    fn run(
+    fn decide(
         &self,
-        eg: &mut ExperimentGraph,
+        eg: &EgView<'_>,
         available: &HashMap<ArtifactId, Value>,
         cost: &CostModel,
-    ) {
+    ) -> MatDecision {
         let desired = self.desired(eg, available, cost);
         let desired_set: HashSet<ArtifactId> = desired.iter().copied().collect();
-        // Collect contents before evicting (eviction drops them).
-        let contents: Vec<(ArtifactId, Value)> = desired
-            .iter()
-            .filter_map(|id| content_of(eg, available, *id).map(|v| (*id, v)))
-            .collect();
-        evict_except(eg, &desired_set);
-        for (id, value) in contents {
-            if !eg.is_materialized(id) {
-                eg.storage_mut().store(id, &value);
-            }
+        MatDecision {
+            store: desired
+                .iter()
+                .filter(|id| !eg.has_content(**id))
+                .filter_map(|id| content_of(eg, available, *id).map(|v| (*id, v)))
+                .collect(),
+            evict: evictions_except(eg, &desired_set),
         }
     }
 }
@@ -90,7 +89,7 @@ impl Materializer for GreedyMaterializer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::materialize::testutil::chain_eg;
+    use crate::materialize::testutil::{chain_eg, run};
 
     fn unit() -> CostModel {
         CostModel {
@@ -112,7 +111,7 @@ mod tests {
         // The 8-byte source is stored unconditionally and counts against
         // the budget, leaving room for two 4-byte artifacts.
         let m = GreedyMaterializer::new(16);
-        m.run(&mut eg, &available, &unit());
+        run(&m, &mut eg, &available, &unit());
         let stored: Vec<bool> = ids.iter().map(|id| eg.is_materialized(*id)).collect();
         assert_eq!(stored.iter().filter(|&&s| s).count(), 2);
     }
@@ -133,7 +132,7 @@ mod tests {
             alpha: 0.0,
             max_artifacts: None,
         };
-        m.run(&mut eg, &available, &unit());
+        run(&m, &mut eg, &available, &unit());
         assert!(eg.is_materialized(ids[2]));
         assert!(!eg.is_materialized(ids[0]));
     }
@@ -147,7 +146,7 @@ mod tests {
             alpha: 1.0,
             max_artifacts: Some(1),
         };
-        m.run(&mut eg, &available, &unit());
+        run(&m, &mut eg, &available, &unit());
         let stored: Vec<_> = ids.iter().filter(|id| eg.is_materialized(**id)).collect();
         assert_eq!(stored.len(), 1);
     }
@@ -160,11 +159,11 @@ mod tests {
             alpha: 0.0,
             max_artifacts: None,
         };
-        m.run(&mut eg, &available, &unit());
+        run(&m, &mut eg, &available, &unit());
         assert!(eg.is_materialized(ids[1])); // deeper vertex wins
                                              // Bump a's frequency massively; the next run displaces b.
         eg.vertex_mut(ids[0]).unwrap().frequency = 100;
-        m.run(&mut eg, &available, &unit());
+        run(&m, &mut eg, &available, &unit());
         assert!(eg.is_materialized(ids[0]));
         assert!(!eg.is_materialized(ids[1]));
     }
@@ -173,7 +172,7 @@ mod tests {
     fn unavailable_content_is_skipped_gracefully() {
         let (mut eg, ids, _) = chain_eg(&[("a", 10.0, 4, 0.0)], false);
         let m = GreedyMaterializer::new(100);
-        m.run(&mut eg, &HashMap::new(), &unit());
+        run(&m, &mut eg, &HashMap::new(), &unit());
         assert!(!eg.is_materialized(ids[0])); // nothing to store from
     }
 }

@@ -6,9 +6,9 @@
 //! misses the high-utility ones at the end of large workloads
 //! (Figure 6/7 of the paper).
 
-use super::{content_of, Materializer};
+use super::{content_of, MatDecision, Materializer};
 use crate::cost::CostModel;
-use co_graph::{ArtifactId, ExperimentGraph, Value};
+use co_graph::{ArtifactId, EgView, GraphQuery, Value};
 use std::collections::{HashMap, HashSet};
 
 /// Root-first threshold materializer.
@@ -23,28 +23,30 @@ impl Materializer for HelixMaterializer {
         "HL"
     }
 
-    fn run(
+    fn decide(
         &self,
-        eg: &mut ExperimentGraph,
+        eg: &EgView<'_>,
         available: &HashMap<ArtifactId, Value>,
         cost: &CostModel,
-    ) {
+    ) -> MatDecision {
         let recreation = eg.recreation_costs();
-        let sources: HashSet<ArtifactId> = eg.sources().iter().copied().collect();
+        let sources: HashSet<ArtifactId> = eg.sources().collect();
         // Bytes already committed (including the always-stored sources).
         let mut used: u64 = eg
-            .storage()
             .materialized_ids()
             .into_iter()
-            .filter_map(|id| eg.vertex(id).ok().map(|v| v.size))
+            .filter_map(|id| eg.lookup(id).map(|v| v.size))
             .sum();
 
-        let order: Vec<ArtifactId> = eg.topo_order().to_vec();
-        for id in order {
-            if sources.contains(&id) || eg.is_materialized(id) {
+        // Root-first means arrival order, which one shard keeps and
+        // several shards do not: there the walk follows `topo_order`'s
+        // deterministic merge of the shards' orders.
+        let mut store = Vec::new();
+        for &id in eg.topo_order().iter() {
+            if sources.contains(&id) || eg.has_content(id) {
                 continue;
             }
-            let Some(size) = eg.vertex(id).ok().map(|v| v.size) else {
+            let Some(size) = eg.lookup(id).map(|v| v.size) else {
                 continue;
             };
             if size == 0 {
@@ -56,10 +58,14 @@ impl Materializer for HelixMaterializer {
                 // end of large workloads find the budget already spent on
                 // early artifacts (paper §7.2/§7.3).
                 if let Some(value) = content_of(eg, available, id) {
-                    eg.storage_mut().store(id, &value);
+                    store.push((id, value));
                     used += size;
                 }
             }
+        }
+        MatDecision {
+            store,
+            evict: Vec::new(),
         }
     }
 }
@@ -67,7 +73,7 @@ impl Materializer for HelixMaterializer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::materialize::testutil::chain_eg;
+    use crate::materialize::testutil::{chain_eg, run};
 
     fn unit() -> CostModel {
         CostModel {
@@ -89,7 +95,7 @@ mod tests {
         );
         // Source (8 bytes) + two 4-byte artifacts fill the budget.
         let m = HelixMaterializer { budget: 16 };
-        m.run(&mut eg, &available, &unit());
+        run(&m, &mut eg, &available, &unit());
         assert!(eg.is_materialized(ids[0]));
         assert!(eg.is_materialized(ids[1]));
         assert!(!eg.is_materialized(ids[2])); // ran out of budget
@@ -100,7 +106,7 @@ mod tests {
         // a: Cr = 1 vs 2*Cl = 8 -> skip; b: Cr = 101 vs 8 -> store.
         let (mut eg, ids, available) = chain_eg(&[("a", 1.0, 4, 0.0), ("b", 100.0, 4, 0.0)], false);
         let m = HelixMaterializer { budget: 100 };
-        m.run(&mut eg, &available, &unit());
+        run(&m, &mut eg, &available, &unit());
         assert!(!eg.is_materialized(ids[0]));
         assert!(eg.is_materialized(ids[1]));
     }
@@ -110,9 +116,9 @@ mod tests {
         let (mut eg, ids, available) =
             chain_eg(&[("a", 100.0, 4, 0.0), ("b", 1000.0, 4, 0.0)], false);
         let m = HelixMaterializer { budget: 12 };
-        m.run(&mut eg, &available, &unit());
+        run(&m, &mut eg, &available, &unit());
         assert!(eg.is_materialized(ids[0])); // root-first wins the slot
-        m.run(&mut eg, &available, &unit());
+        run(&m, &mut eg, &available, &unit());
         assert!(eg.is_materialized(ids[0])); // still there
         assert!(!eg.is_materialized(ids[1]));
     }

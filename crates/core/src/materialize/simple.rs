@@ -2,9 +2,9 @@
 //! paper's unbounded upper bound in Figures 6/7), `NONE` stores nothing
 //! beyond the sources (the `KG` baseline).
 
-use super::Materializer;
+use super::{MatDecision, Materializer};
 use crate::cost::CostModel;
-use co_graph::{ArtifactId, ExperimentGraph, Value};
+use co_graph::{ArtifactId, EgView, GraphQuery, Value};
 use std::collections::HashMap;
 
 /// Materialize everything whose content is available.
@@ -16,16 +16,19 @@ impl Materializer for AllMaterializer {
         "ALL"
     }
 
-    fn run(
+    fn decide(
         &self,
-        eg: &mut ExperimentGraph,
+        eg: &EgView<'_>,
         available: &HashMap<ArtifactId, Value>,
         _cost: &CostModel,
-    ) {
-        for (id, value) in available {
-            if !eg.is_materialized(*id) {
-                eg.storage_mut().store(*id, value);
-            }
+    ) -> MatDecision {
+        MatDecision {
+            store: available
+                .iter()
+                .filter(|(id, _)| !eg.has_content(**id))
+                .map(|(id, value)| (*id, value.clone()))
+                .collect(),
+            evict: Vec::new(),
         }
     }
 }
@@ -39,26 +42,32 @@ impl Materializer for NoneMaterializer {
         "NONE"
     }
 
-    fn run(
+    fn decide(
         &self,
-        _eg: &mut ExperimentGraph,
+        _eg: &EgView<'_>,
         _available: &HashMap<ArtifactId, Value>,
         _cost: &CostModel,
-    ) {
+    ) -> MatDecision {
+        MatDecision::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::materialize::testutil::chain_eg;
+    use crate::materialize::testutil::{chain_eg, run};
 
     #[test]
     fn all_stores_everything_none_stores_nothing() {
         let (mut eg, ids, available) = chain_eg(&[("a", 1.0, 4, 0.0), ("b", 1.0, 4, 0.0)], false);
-        NoneMaterializer.run(&mut eg, &available, &CostModel::default());
+        run(
+            &NoneMaterializer,
+            &mut eg,
+            &available,
+            &CostModel::default(),
+        );
         assert!(ids.iter().all(|id| !eg.is_materialized(*id)));
-        AllMaterializer.run(&mut eg, &available, &CostModel::default());
+        run(&AllMaterializer, &mut eg, &available, &CostModel::default());
         assert!(ids.iter().all(|id| eg.is_materialized(*id)));
     }
 }

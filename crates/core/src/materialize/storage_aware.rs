@@ -9,9 +9,9 @@
 //! held; the nominal size of the materialized artifacts can exceed it by
 //! a large factor (Figure 6 of the paper reports up to 8x).
 
-use super::{content_of, evict_except, utilities, Materializer};
+use super::{content_of, evictions_except, utilities, MatDecision, Materializer};
 use crate::cost::CostModel;
-use co_graph::{ArtifactId, ExperimentGraph, Value};
+use co_graph::{ArtifactId, EgView, GraphQuery, Value};
 use std::collections::{HashMap, HashSet};
 
 /// The paper's `SA` materializer. Requires an Experiment Graph whose
@@ -37,12 +37,12 @@ impl Materializer for StorageAwareMaterializer {
         "SA"
     }
 
-    fn run(
+    fn decide(
         &self,
-        eg: &mut ExperimentGraph,
+        eg: &EgView<'_>,
         available: &HashMap<ArtifactId, Value>,
         cost: &CostModel,
-    ) {
+    ) -> MatDecision {
         let ranked = utilities(eg, cost, self.alpha);
 
         // Determine the desired materialized set by *simulating* the
@@ -60,10 +60,10 @@ impl Materializer for StorageAwareMaterializer {
         // The simulation mirrors the real store's dedup mode: on a plain
         // store marginal bytes equal nominal bytes, and SA degrades to
         // exactly the greedy (HM) selection — the ablation in DESIGN.md.
-        let mut sim = co_graph::StorageManager::new(eg.storage().dedup_enabled());
+        let mut sim = co_graph::StorageManager::new(eg.dedup_enabled());
         // Sources are stored unconditionally and count against the budget.
-        for src in eg.sources().to_vec() {
-            if let Some(value) = eg.storage().get(src) {
+        for src in eg.sources() {
+            if let Some(value) = eg.load_content(src) {
                 sim.store(src, &value);
             }
         }
@@ -83,11 +83,12 @@ impl Materializer for StorageAwareMaterializer {
         // slot (this is what makes the paper's Figure 6(a) dip after
         // Workload 3 possible).
         let keep: HashSet<ArtifactId> = desired.iter().map(|(id, _)| *id).collect();
-        evict_except(eg, &keep);
-        for (id, value) in desired {
-            if !eg.is_materialized(id) {
-                eg.storage_mut().store(id, &value);
-            }
+        MatDecision {
+            evict: evictions_except(eg, &keep),
+            store: desired
+                .into_iter()
+                .filter(|(id, _)| !eg.has_content(*id))
+                .collect(),
         }
     }
 }
@@ -95,9 +96,10 @@ impl Materializer for StorageAwareMaterializer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::materialize::testutil::run;
     use co_dataframe::ops::MapFn;
     use co_dataframe::{ops as df_ops, Column, ColumnData, DataFrame};
-    use co_graph::{NodeKind, Operation, Value, WorkloadDag};
+    use co_graph::{ExperimentGraph, NodeKind, Operation, Value, WorkloadDag};
     use std::sync::Arc;
 
     fn unit() -> CostModel {
@@ -183,7 +185,7 @@ mod tests {
         let one = eg.vertex(ids[0]).unwrap().size; // 16 KB
         let budget = source + 2 * one; // nominal room for ~2 artifacts
         let sa = StorageAwareMaterializer::new(budget);
-        sa.run(&mut eg, &available, &unit());
+        run(&sa, &mut eg, &available, &unit());
         let stored = ids.iter().filter(|id| eg.is_materialized(**id)).count();
         assert_eq!(stored, 4, "dedup should fit all overlapping artifacts");
         assert!(eg.storage().unique_bytes() <= budget);
@@ -197,7 +199,7 @@ mod tests {
         let floor = eg.storage().unique_bytes();
         for budget in [1_000u64, 10_000, 100_000] {
             let sa = StorageAwareMaterializer::new(budget);
-            sa.run(&mut eg, &available, &unit());
+            run(&sa, &mut eg, &available, &unit());
             assert!(
                 eg.storage().unique_bytes() <= budget.max(floor),
                 "budget {budget}: held {}",
@@ -212,7 +214,7 @@ mod tests {
         let source = eg.storage().unique_bytes();
         let one = eg.vertex(ids[0]).unwrap().size;
         let sa = StorageAwareMaterializer::new(source + 2 * one);
-        sa.run(&mut eg, &available, &unit());
+        run(&sa, &mut eg, &available, &unit());
         let logical_before = eg.storage().logical_bytes();
         assert!(logical_before > 0);
 
@@ -235,7 +237,7 @@ mod tests {
         eg.update_with_workload(&dag2).unwrap();
         available.insert(dag2.nodes()[n.0].artifact, out);
 
-        sa.run(&mut eg, &available, &unit());
+        run(&sa, &mut eg, &available, &unit());
         assert!(eg.is_materialized(dag2.nodes()[n.0].artifact));
         // The big artifact displaced overlapping ones; since it shares no
         // columns, fewer artifacts fit and the logical footprint drops.

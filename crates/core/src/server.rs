@@ -10,18 +10,19 @@
 //! The Experiment Graph is partitioned into [`ServerConfig::shards`] ≥ 1
 //! lock shards (`co_graph::shard`); one shard is the trivial case, not a
 //! separate code path. Planning takes every shard's read lock and serves
-//! through an [`EgView`], while publishing locks only the shards a
-//! workload touches — in ascending shard order, so two publishers can
-//! never deadlock — and journals each shard's delta separately. A
-//! publish touching one shard is committed by its own journal record; a
-//! cross-shard publish is sealed by a commit record (DESIGN.md §14).
+//! through an [`EgView`]. Publishing is the paper's single updater: it
+//! takes every shard's write lock in ascending order, merges, runs the
+//! configured materializer once over the whole graph, and journals each
+//! changed shard's delta separately. A publish that changed one shard is
+//! committed by its own journal record; a cross-shard publish is sealed
+//! by a commit record (DESIGN.md §14).
 
 use crate::cost::CostModel;
 use crate::executor::{self, ExecutorConfig};
 use crate::failure::{Quarantine, RetryPolicy, WorkloadError};
 use crate::materialize::{
-    AllMaterializer, GreedyMaterializer, HelixMaterializer, Materializer, NoneMaterializer,
-    StorageAwareMaterializer,
+    materialize, AllMaterializer, GreedyMaterializer, HelixMaterializer, Materializer,
+    NoneMaterializer, StorageAwareMaterializer,
 };
 use crate::optimizer::{AllMaterializedReuse, HelixReuse, LinearReuse, NoReuse, ReusePlanner};
 use crate::pipeline::{ExecutedWorkload, FailedExecution, PlannedWorkload, PrunedWorkload};
@@ -97,12 +98,12 @@ pub struct ServerConfig {
     /// count, so this is purely a throughput/footprint knob.
     pub df_threads: Option<usize>,
     /// Experiment Graph lock shards (`0` is read as 1). Vertices are
-    /// partitioned by artifact hash so publishers touching disjoint
-    /// shards commit concurrently; every shard count uses the same
-    /// durable layout and publish path. At one shard (the default) the
-    /// configured materializer runs unchanged over the whole graph; at
-    /// more than one the budgeted materializers degrade to a first-fit
-    /// scope over the publishing workload (DESIGN.md §14).
+    /// partitioned by artifact hash, each shard with its own lock and
+    /// journal; every shard count uses the same durable layout and
+    /// publish path. Each publish locks every shard and runs the
+    /// configured materializer once over the whole graph, so publishes
+    /// serialize and the decisions are the same at any shard count
+    /// (DESIGN.md §14).
     pub shards: usize,
 }
 
@@ -294,7 +295,7 @@ fn is_simulated_crash(e: &GraphError) -> bool {
 struct PendingPublish {
     seq: u64,
     deltas: Vec<(usize, EgDelta)>,
-    /// `None` when the publish touched one shard: its record commits
+    /// `None` when the publish changed one shard: its record commits
     /// itself, so the publish costs one append and one fsync.
     commit: Option<CommitRecord>,
     quarantine: Option<HashMap<OpHash, usize>>,
@@ -362,8 +363,9 @@ struct Durability {
     /// [`DurabilityConfig::max_repair_attempts`]).
     repair_attempts: AtomicUsize,
     /// Last assigned publish sequence number. Incremented only while
-    /// the touched shards' write locks are held, so every shard journal
-    /// sees its subset of sequence numbers in increasing order.
+    /// the write locks of every shard it journals to are held, so every
+    /// shard journal sees its subset of sequence numbers in increasing
+    /// order.
     seq: AtomicU64,
 }
 
@@ -495,29 +497,6 @@ impl ServerStats {
         (self.baseline_seconds - self.run_seconds).max(0.0)
     }
 
-    /// Fold another counter set into this one (per-shard sub-counters
-    /// are summed on read).
-    fn add(&mut self, other: &ServerStats) {
-        self.workloads += other.workloads;
-        self.ops_executed += other.ops_executed;
-        self.artifacts_loaded += other.artifacts_loaded;
-        self.warmstarts += other.warmstarts;
-        self.run_seconds += other.run_seconds;
-        self.baseline_seconds += other.baseline_seconds;
-        self.failed_workloads += other.failed_workloads;
-        self.salvaged_artifacts += other.salvaged_artifacts;
-        self.journal_records_replayed += other.journal_records_replayed;
-        self.torn_tail_truncated += other.torn_tail_truncated;
-        self.snapshots_compacted += other.snapshots_compacted;
-        self.durability_health = self.durability_health.max(other.durability_health);
-        self.repair_attempts += other.repair_attempts;
-        self.repairs_succeeded += other.repairs_succeeded;
-        self.publishes_rejected_readonly += other.publishes_rejected_readonly;
-        self.scrub_checked += other.scrub_checked;
-        self.scrub_healed += other.scrub_healed;
-        self.scrub_quarantined += other.scrub_quarantined;
-    }
-
     /// Record one published workload's contribution. Runs inside the
     /// publish critical section (under the shard write locks), so a
     /// concurrent [`OptimizerServer::stats`] reader can never observe a
@@ -555,10 +534,8 @@ pub struct OptimizerServer {
     config: ServerConfig,
     materializer: Box<dyn Materializer>,
     planner: Box<dyn ReusePlanner>,
-    /// One sub-counter set per shard, updated inside the publish
-    /// critical section under the lowest touched shard's lock and
-    /// summed on read.
-    stats: Vec<parking_lot::Mutex<ServerStats>>,
+    /// Lifetime counters, folded inside the publish critical section.
+    stats: parking_lot::Mutex<ServerStats>,
     quarantine: Option<Arc<Quarantine>>,
     durability: Option<Durability>,
     /// Cold column store — `Some` iff durable with
@@ -632,9 +609,6 @@ impl OptimizerServer {
             ReuseKind::AllMaterialized => Box::new(AllMaterializedReuse),
             ReuseKind::None => Box::new(NoReuse),
         };
-        let stats = (0..eg.n_shards())
-            .map(|_| parking_lot::Mutex::new(ServerStats::default()))
-            .collect();
         OptimizerServer {
             quarantine: config
                 .quarantine_after
@@ -643,7 +617,7 @@ impl OptimizerServer {
             config,
             materializer,
             planner,
-            stats,
+            stats: parking_lot::Mutex::new(ServerStats::default()),
             durability: None,
             cold: None,
             recipes: parking_lot::Mutex::new(HashMap::new()),
@@ -758,8 +732,7 @@ impl OptimizerServer {
             seq: AtomicU64::new(rec.max_seq),
         };
         let torn_tails = rec.torn.len();
-        let mut server =
-            OptimizerServer::build(config, ShardedEg::from_graphs(rec.graphs, rec.vault));
+        let mut server = OptimizerServer::build(config, ShardedEg::from_graphs(rec.graphs));
         server.cold = cold;
         if let Some(quarantine) = &server.quarantine {
             for (op, (name, failures)) in &qmap {
@@ -769,7 +742,7 @@ impl OptimizerServer {
         }
         server.durability = Some(durable);
         {
-            let mut stats = server.stats[0].lock();
+            let mut stats = server.stats.lock();
             stats.journal_records_replayed = recovery.journal_records_replayed;
             stats.torn_tail_truncated = torn_tails;
         }
@@ -851,7 +824,7 @@ impl OptimizerServer {
     ) -> std::result::Result<PlannedWorkload, WorkloadError> {
         let PrunedWorkload { dag } = pruned;
         let guards = self.eg.read_all();
-        let view = EgView::new(guards.iter().map(|g| &**g).collect());
+        let view = EgView::of(&guards);
         let start = Instant::now();
         let plan = self.planner.plan(&dag, &view, &self.config.cost);
         let optimizer_seconds = start.elapsed().as_secs_f64();
@@ -872,18 +845,19 @@ impl OptimizerServer {
     /// never wait on a running computation. A failed run with a taint
     /// mask still merges (salvages) its untainted prefix.
     ///
-    /// Only the shards the workload's artifacts hash to are
-    /// write-locked, in ascending shard order (two publishers acquiring
-    /// ordered subsets can never deadlock); each vertex merges into its
-    /// owning shard and child links are wired on the parent's shard.
+    /// Every shard is write-locked, in ascending shard order, as the
+    /// paper's single updater: each vertex merges into its owning shard
+    /// (child links are wired on the parent's shard), then the
+    /// configured materializer decides once over the whole graph and
+    /// each store or eviction lands on the owning shard.
     ///
-    /// On a durable server ([`OptimizerServer::open`]) each touched
-    /// shard's journal receives its own delta under one shared sequence
-    /// number inside the same critical section. A publish touching one
-    /// shard is durable when its record lands; a cross-shard publish is
-    /// durable exactly when its commit record lands. If persisting
-    /// fails, the workload is reported failed and the durability layer
-    /// degrades (DESIGN.md §15).
+    /// On a durable server ([`OptimizerServer::open`]) each shard whose
+    /// state changed receives its own journal delta under one shared
+    /// sequence number inside the same critical section. A publish that
+    /// changed one shard is durable when its record lands; a cross-shard
+    /// publish is durable exactly when its commit record lands. If
+    /// persisting fails, the workload is reported failed and the
+    /// durability layer degrades (DESIGN.md §15).
     pub fn publish_workload(
         &self,
         executed: ExecutedWorkload,
@@ -913,7 +887,7 @@ impl OptimizerServer {
             Some(_) => vec![false; n_nodes],
         };
         // The mask must be ancestor-closed: child wiring below assumes a
-        // kept node's parents are merged — and therefore locked.
+        // kept node's parents are merged.
         for (i, m) in merged.iter().enumerate() {
             if *m {
                 for p in dag.parents(co_graph::NodeId(i)) {
@@ -926,132 +900,71 @@ impl OptimizerServer {
             }
         }
 
-        let mut touched: BTreeSet<usize> = dag
-            .nodes()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| merged[*i])
-            .map(|(_, node)| self.eg.shard_index(node.artifact))
-            .collect();
-        // At one shard the paper's materializer runs on every publish —
-        // one that merged nothing may still store or evict — so the
-        // shard is always locked. Quarantine records live in shard 0's
-        // journal only, so a pending quarantine change pulls shard 0 in.
-        if self.eg.n_shards() == 1 || self.quarantine_dirty() {
-            touched.insert(0);
+        // The paper's single updater: every shard's write lock, in
+        // ascending order, held through merge, materialization,
+        // journaling and commit. A publish that merged nothing may still
+        // store, evict or change the quarantine.
+        let mut guards = self.eg.write_all();
+
+        // Each shard's pre-publish mat set, so its journal delta can be
+        // diffed afterwards. Only a durable server journals, so an
+        // in-memory one skips the capture.
+        let mat_before: Option<Vec<BTreeSet<ArtifactId>>> = self
+            .durability
+            .is_some()
+            .then(|| guards.iter().map(|g| mat_set(g)).collect());
+        let merged_nodes = shard::merge_workload(&mut guards, &dag, &merged)?;
+        // Executed values merge back as Arc clones: the store and the
+        // returned DAG share the same allocations.
+        let available = available_contents(&dag);
+        materialize(
+            &*self.materializer,
+            &mut guards,
+            &available,
+            &self.config.cost,
+        );
+        for g in &mut guards {
+            reconcile_restored_flags(g);
+        }
+        if self.cold.is_some() {
+            self.record_recipes(&dag, &merged);
+            let faults = guards[0].storage().fault_injector().map(Arc::clone);
+            self.write_cold(&available, faults.as_deref(), |id| {
+                guards[self.eg.shard_index(id)].storage().contains(id)
+            });
+        }
+        let baseline = baseline_cost(&dag, |id| {
+            guards[self.eg.shard_index(id)]
+                .vertex(id)
+                .ok()
+                .map(|v| v.compute_time)
+        });
+
+        let persist_error = match (&self.durability, &mat_before) {
+            (Some(dur), Some(before)) => self
+                .persist_publish(dur, &guards, &merged_nodes, before)
+                .err(),
+            _ => None,
+        };
+        // In debug builds, fsck the graph while still inside the
+        // critical section: an invariant break is pinned to the
+        // publication that introduced it.
+        #[cfg(debug_assertions)]
+        {
+            let refs: Vec<&ExperimentGraph> = guards.iter().map(|g| &**g).collect();
+            let fsck = co_graph::fsck::check_shards(&refs, &[]);
+            debug_assert!(fsck.is_clean(), "post-publish fsck failed:\n{fsck}");
         }
 
-        let mut persist_error = None;
-        if touched.is_empty() {
-            // Failed before execution with nothing to salvage and no
-            // quarantine change to persist: only the failure counters
-            // move.
-            self.stats[0]
-                .lock()
-                .fold_publish(&report, 0.0, failure.as_ref(), false);
-        } else {
-            // Ordered-lock protocol: ascending shard indices, held
-            // through merge, materialization, journaling and commit.
-            let shard_list: Vec<usize> = touched.iter().copied().collect();
-            let mut guards = self.eg.write_set(&shard_list);
-            let pos: HashMap<usize, usize> = shard_list
-                .iter()
-                .enumerate()
-                .map(|(gi, k)| (*k, gi))
-                .collect();
-
-            // Pre-merge capture per locked shard, so each journal delta
-            // can be diffed after the merge. Only a durable server
-            // journals, so an in-memory one skips the capture.
-            let pre: Option<Vec<PreMerge>> = self.durability.is_some().then(|| {
-                let mut pre: Vec<PreMerge> = guards
-                    .iter()
-                    .map(|(_, g)| PreMerge {
-                        mat_before: mat_set(g),
-                        ..PreMerge::default()
-                    })
-                    .collect();
-                let mut seen = HashSet::new();
-                // DAG order is parents-first, so `new_ids` lists new
-                // vertices in an order the journal can replay.
-                for (i, node) in dag.nodes().iter().enumerate() {
-                    if merged[i] && seen.insert(node.artifact) {
-                        let gi = pos[&self.eg.shard_index(node.artifact)];
-                        if guards[gi].1.contains(node.artifact) {
-                            pre[gi].touched_ids.push(node.artifact);
-                        } else {
-                            pre[gi].new_ids.push(node.artifact);
-                        }
-                    }
-                }
-                pre
-            });
-
-            for (i, node) in dag.nodes().iter().enumerate() {
-                if !merged[i] {
-                    continue;
-                }
-                let gi = pos[&self.eg.shard_index(node.artifact)];
-                let inserted = guards[gi].1.merge_workload_node(&dag, i)?;
-                if inserted {
-                    for p in dag.parents(co_graph::NodeId(i)) {
-                        let parent = dag.nodes()[p.0].artifact;
-                        let pg = pos[&self.eg.shard_index(parent)];
-                        guards[pg].1.add_child_link(parent, node.artifact)?;
-                    }
-                }
-            }
-
-            // Executed values merge back as Arc clones: the store and
-            // the returned DAG share the same allocations.
-            let available = available_contents(&dag);
-            if self.eg.n_shards() == 1 {
-                self.materializer
-                    .run(&mut guards[0].1, &available, &self.config.cost);
-            } else {
-                self.materialize_sharded(&mut guards, &pos, &dag, &merged, &available);
-            }
-            for (_, g) in &mut guards {
-                reconcile_restored_flags(g);
-            }
-            if self.cold.is_some() {
-                self.record_recipes(&dag, failure.as_ref());
-                let faults = guards[0].1.storage().fault_injector().map(Arc::clone);
-                self.write_cold(&available, faults.as_deref(), |id| {
-                    pos.get(&self.eg.shard_index(id))
-                        .is_some_and(|gi| guards[*gi].1.storage().contains(id))
-                });
-            }
-            let baseline = baseline_cost(&dag, |id| {
-                pos.get(&self.eg.shard_index(id))
-                    .and_then(|gi| guards[*gi].1.vertex(id).ok())
-                    .map(|v| v.compute_time)
-            });
-
-            if let (Some(dur), Some(pre)) = (&self.durability, &pre) {
-                persist_error = self.persist_publish(dur, &guards, pre).err();
-            }
-            // In debug builds, fsck the graph while still inside the
-            // critical section whenever it holds every shard (a lone
-            // shard legitimately links into shards it did not lock): an
-            // invariant break is pinned to the publication that
-            // introduced it.
-            #[cfg(debug_assertions)]
-            if guards.len() == self.eg.n_shards() {
-                let refs: Vec<&ExperimentGraph> = guards.iter().map(|(_, g)| &**g).collect();
-                let fsck = co_graph::fsck::check_shards(&refs, &[]);
-                debug_assert!(fsck.is_clean(), "post-publish fsck failed:\n{fsck}");
-            }
-
-            // Fold the stats while the shard locks are still held, so
-            // stats() can never lag the graph.
-            self.stats[shard_list[0]].lock().fold_publish(
-                &report,
-                baseline,
-                failure.as_ref(),
-                persist_error.is_some(),
-            );
-        }
+        // Fold the stats while the shard locks are still held, so
+        // stats() can never lag the graph.
+        self.stats.lock().fold_publish(
+            &report,
+            baseline,
+            failure.as_ref(),
+            persist_error.is_some(),
+        );
+        drop(guards);
         report.materializer_seconds = start.elapsed().as_secs_f64();
 
         // Threshold compaction runs after the publish locks are
@@ -1075,116 +988,59 @@ impl OptimizerServer {
         finish_publish(dag, report, failure, persist_error)
     }
 
-    /// Whether the live quarantine set differs from the persisted one
-    /// (always `false` without durability).
-    fn quarantine_dirty(&self) -> bool {
-        self.durability.as_ref().is_some_and(|d| {
-            let current = sorted_quarantine_entries(self.quarantine.as_deref());
-            quarantine_diff(&current, &d.persisted_quarantine.lock()).is_some()
-        })
-    }
-
-    /// Materialization for publishes over more than one shard. The full
-    /// utility-ranked algorithms walk one whole graph under one lock,
-    /// which a sharded publish deliberately avoids; instead each
-    /// budgeted materializer degrades to first-fit over the publishing
-    /// workload's computed values, admitting a value only when a *lower
-    /// bound* on global usage (the shared column vault plus every locked
-    /// shard's local bytes) leaves room in the budget. `All` stores
-    /// everything, `None` nothing — identical to their one-shard
-    /// behavior.
-    fn materialize_sharded(
-        &self,
-        guards: &mut [(usize, ShardWriteGuard<'_>)],
-        pos: &HashMap<usize, usize>,
-        dag: &WorkloadDag,
-        merged: &[bool],
-        available: &HashMap<ArtifactId, Value>,
-    ) {
-        if self.config.materializer == MaterializerKind::None {
-            return;
-        }
-        let unlimited = self.config.materializer == MaterializerKind::All;
-        let mut seen = HashSet::new();
-        // Deterministic DAG order, not hash-map order.
-        for (i, node) in dag.nodes().iter().enumerate() {
-            if !merged[i] || !seen.insert(node.artifact) {
-                continue;
-            }
-            let Some(value) = available.get(&node.artifact) else {
-                continue;
-            };
-            // Aggregates are never materialization candidates (they are
-            // excluded from every materializer's utility pool).
-            if matches!(value, Value::Aggregate(_)) {
-                continue;
-            }
-            let gi = pos[&self.eg.shard_index(node.artifact)];
-            if guards[gi].1.storage().contains(node.artifact) {
-                continue;
-            }
-            if !unlimited {
-                let marginal = guards[gi].1.storage().marginal_bytes(value);
-                // Lower bound on global usage: the shared vault plus every
-                // locked shard's local bytes (unlocked shards' non-vault
-                // bytes are invisible here — see DESIGN.md §14).
-                let local: u64 = guards.iter().map(|(_, g)| g.storage().unique_bytes()).sum();
-                let used = self.eg.vault().map_or(0, |v| v.unique_bytes()) + local;
-                if used.saturating_add(marginal) > self.config.budget {
-                    continue;
-                }
-            }
-            guards[gi].1.storage_mut().store(node.artifact, value);
-        }
-    }
-
-    /// Build this publish's per-shard journal deltas — diffed against
-    /// the pre-merge capture, plus the quarantine change when shard 0 is
-    /// locked — and make them durable under one sequence number. Called
-    /// with the touched shards' write locks held (ascending).
+    /// Build this publish's per-shard journal deltas — its merged
+    /// vertices (`merged`, in DAG order, so new vertices replay parents
+    /// first; existing ones as touches), each shard's mat-set diff
+    /// against `mat_before`, and the quarantine change in shard 0's —
+    /// and make them durable under one sequence number. Called with
+    /// every shard's write lock held.
     fn persist_publish(
         &self,
         dur: &Durability,
-        guards: &[(usize, ShardWriteGuard<'_>)],
-        pre: &[PreMerge],
+        guards: &[ShardWriteGuard<'_>],
+        merged: &[(ArtifactId, bool)],
+        mat_before: &[BTreeSet<ArtifactId>],
     ) -> Result<()> {
-        let mut deltas = Vec::with_capacity(guards.len());
-        let mut quarantine = None;
-        for ((k, g), pre) in guards.iter().zip(pre) {
-            let mut delta = EgDelta::default();
-            for id in &pre.new_ids {
-                delta.new_vertices.push(g.vertex(*id)?.clone());
+        let mut deltas = vec![EgDelta::default(); guards.len()];
+        let mut seen = HashSet::new();
+        for &(id, inserted) in merged {
+            if !seen.insert(id) {
+                continue;
             }
-            for id in &pre.touched_ids {
-                let v = g.vertex(*id)?;
-                delta.touched.push(VertexTouch {
-                    id: *id,
+            let k = self.eg.shard_index(id);
+            let v = guards[k].vertex(id)?;
+            if inserted {
+                deltas[k].new_vertices.push(v.clone());
+            } else {
+                deltas[k].touched.push(VertexTouch {
+                    id,
                     frequency: v.frequency,
                     compute_time: v.compute_time,
                     size: v.size,
                     quality: v.quality,
                 });
             }
-            let mat_after = mat_set(g);
-            delta.mat_added = mat_after.difference(&pre.mat_before).copied().collect();
-            delta.mat_removed = pre.mat_before.difference(&mat_after).copied().collect();
-            // Quarantine records are confined to shard 0. Every publish
-            // that persists a quarantine change holds shard 0's lock, so
-            // the diff against the persisted map cannot race another.
-            if *k == 0 {
-                let current = sorted_quarantine_entries(self.quarantine.as_deref());
-                if let Some((set, cleared)) =
-                    quarantine_diff(&current, &dur.persisted_quarantine.lock())
-                {
-                    delta.quarantine_set = set;
-                    delta.quarantine_cleared = cleared;
-                    quarantine = Some(current.iter().map(|q| (q.op_hash, q.failures)).collect());
-                }
-            }
-            if !delta.is_empty() {
-                deltas.push((*k, delta));
-            }
         }
+        for ((delta, g), before) in deltas.iter_mut().zip(guards).zip(mat_before) {
+            let after = mat_set(g);
+            delta.mat_added = after.difference(before).copied().collect();
+            delta.mat_removed = before.difference(&after).copied().collect();
+        }
+        // Quarantine records are confined to shard 0. Every publish holds
+        // shard 0's lock, so the diff against the persisted map cannot
+        // race another.
+        let current = sorted_quarantine_entries(self.quarantine.as_deref());
+        let quarantine =
+            quarantine_diff(&current, &dur.persisted_quarantine.lock()).map(|(set, cleared)| {
+                deltas[0].quarantine_set = set;
+                deltas[0].quarantine_cleared = cleared;
+                current.iter().map(|q| (q.op_hash, q.failures)).collect()
+            });
+        let deltas: Vec<(usize, EgDelta)> = deltas
+            .into_iter()
+            .enumerate()
+            .filter(|(_, d)| !d.is_empty())
+            .collect();
         if deltas.is_empty() {
             return Ok(());
         }
@@ -1192,7 +1048,7 @@ impl OptimizerServer {
         // the ordered protocol is held: each shard journal's sequence
         // numbers appear in increasing order.
         let publish = PendingPublish::new(dur.next_seq(), deltas, quarantine);
-        let faults = guards[0].1.storage().fault_injector().map(Arc::clone);
+        let faults = guards[0].storage().fault_injector().map(Arc::clone);
         dur.persist(publish, faults.as_deref())
     }
 
@@ -1239,7 +1095,7 @@ impl OptimizerServer {
             *dur.persisted_quarantine.lock() =
                 entries.iter().map(|q| (q.op_hash, q.failures)).collect();
         }
-        self.stats[0].lock().snapshots_compacted += 1;
+        self.stats.lock().snapshots_compacted += 1;
         Ok(())
     }
 
@@ -1316,7 +1172,7 @@ impl OptimizerServer {
         failure: Option<&FailedExecution>,
         error: &GraphError,
     ) {
-        let mut stats = self.stats[0].lock();
+        let mut stats = self.stats.lock();
         if matches!(error, GraphError::ReadOnly { .. }) {
             stats.publishes_rejected_readonly += 1;
         }
@@ -1375,12 +1231,12 @@ impl OptimizerServer {
             DurabilityHealth::Wedged => return Err(GraphError::Io(WEDGED_MSG.to_owned())),
             DurabilityHealth::ReadOnly => {}
         }
-        self.stats[0].lock().repair_attempts += 1;
+        self.stats.lock().repair_attempts += 1;
         match repair_journals(dur, &mut backlog, faults.as_deref()) {
             Ok(()) => {
                 dur.set_health(DurabilityHealth::Healthy);
                 dur.repair_attempts.store(0, Ordering::SeqCst);
-                self.stats[0].lock().repairs_succeeded += 1;
+                self.stats.lock().repairs_succeeded += 1;
                 Ok(true)
             }
             Err(e) => {
@@ -1431,7 +1287,7 @@ impl OptimizerServer {
                 }
             }
         }
-        let mut stats = self.stats[0].lock();
+        let mut stats = self.stats.lock();
         stats.scrub_checked += outcome.checked;
         stats.scrub_healed += outcome.healed;
         stats.scrub_quarantined += outcome.quarantined;
@@ -1471,17 +1327,9 @@ impl OptimizerServer {
     }
 
     /// Record the lineage of every merged workload node (cold store on).
-    fn record_recipes(&self, dag: &WorkloadDag, failure: Option<&FailedExecution>) {
+    fn record_recipes(&self, dag: &WorkloadDag, merged: &[bool]) {
         let mut recipes = self.recipes.lock();
-        for (i, node) in dag.nodes().iter().enumerate() {
-            let merged = match failure {
-                None => true,
-                Some(f) if f.tainted.len() == dag.n_nodes() => !f.tainted[i],
-                Some(_) => false,
-            };
-            if !merged {
-                continue;
-            }
+        for (i, node) in dag.nodes().iter().enumerate().filter(|(i, _)| merged[*i]) {
             if let Some(edge) = dag.producer(co_graph::NodeId(i)) {
                 recipes.entry(node.artifact).or_insert_with(|| Recipe {
                     op: Arc::clone(&edge.op),
@@ -1518,15 +1366,12 @@ impl OptimizerServer {
         self.durability.is_some()
     }
 
-    /// Cumulative lifetime statistics (per-shard sub-counters summed).
+    /// Cumulative lifetime statistics.
     #[must_use]
     pub fn stats(&self) -> ServerStats {
-        let mut total = ServerStats::default();
-        for s in &self.stats {
-            total.add(&s.lock());
-        }
-        total.durability_health = self.durability_health().as_u64();
-        total
+        let mut stats = *self.stats.lock();
+        stats.durability_health = self.durability_health().as_u64();
+        stats
     }
 
     /// `EXPLAIN` for a workload: prune, plan against the current
@@ -1535,7 +1380,7 @@ impl OptimizerServer {
     pub fn explain(&self, mut dag: WorkloadDag) -> Result<String> {
         dag.prune()?;
         let guards = self.eg.read_all();
-        let view = EgView::new(guards.iter().map(|g| &**g).collect());
+        let view = EgView::of(&guards);
         let plan = self.planner.plan(&dag, &view, &self.config.cost);
         Ok(crate::optimizer::explain_plan(
             &dag,
@@ -1567,53 +1412,18 @@ impl OptimizerServer {
         self.eg.lock_wait_ns()
     }
 
-    /// Read access to the Experiment Graph (shared lock).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded server (shards > 1) — iterate
-    /// [`shards`](OptimizerServer::shards) instead.
-    pub fn eg(&self) -> co_graph::ShardReadGuard<'_> {
-        assert_eq!(
-            self.eg.n_shards(),
-            1,
-            "eg() is single-shard only; use shards() on a sharded server"
-        );
-        self.eg.read(0)
-    }
-
-    /// Write access to the Experiment Graph (exclusive lock) — for
-    /// offline tools and tests (e.g. seeding corruption that
-    /// `co_graph::fsck` must catch). Mutations made here bypass the
-    /// publish pipeline and its durability journaling.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded server (shards > 1) — iterate
-    /// [`shards`](OptimizerServer::shards) instead.
-    pub fn eg_mut(&self) -> ShardWriteGuard<'_> {
-        assert_eq!(
-            self.eg.n_shards(),
-            1,
-            "eg_mut() is single-shard only; use shards() on a sharded server"
-        );
-        self.eg.write(0)
-    }
-
     /// Summary of storage state: (number of materialized artifacts,
     /// unique bytes held, logical bytes materialized). On a sharded
     /// server, sums over every shard plus the shared column vault.
     #[must_use]
     pub fn storage_stats(&self) -> (usize, u64, u64) {
         let guards = self.eg.read_all();
-        let n = guards.iter().map(|g| g.storage().n_artifacts()).sum();
-        let unique = self.eg.vault().map_or(0, |v| v.unique_bytes())
-            + guards
-                .iter()
-                .map(|g| g.storage().unique_bytes())
-                .sum::<u64>();
-        let logical = guards.iter().map(|g| g.storage().logical_bytes()).sum();
-        (n, unique, logical)
+        let view = EgView::of(&guards);
+        (
+            view.materialized_ids().len(),
+            view.unique_bytes(),
+            view.logical_bytes(),
+        )
     }
 
     /// Install a deterministic fault injector on the artifact store
@@ -1762,16 +1572,6 @@ fn repair_journals(
         slot.lock().sync(faults)?;
     }
     Ok(())
-}
-
-/// What a publish notes per locked shard *before* merging, so the
-/// journal delta can be diffed afterwards: which merged artifacts are
-/// new to the shard vs merely touched, and the pre-publish mat set.
-#[derive(Default)]
-struct PreMerge {
-    new_ids: Vec<ArtifactId>,
-    touched_ids: Vec<ArtifactId>,
-    mat_before: BTreeSet<ArtifactId>,
 }
 
 /// Diff the live quarantine snapshot against the last persisted map:
@@ -1981,7 +1781,7 @@ mod tests {
         })
         .unwrap();
         // All four sessions converged onto one set of artifacts.
-        let eg = server.eg();
+        let eg = server.shards().read(0);
         let dag = workload();
         for node in dag.nodes() {
             assert!(eg.contains(node.artifact));
@@ -2006,9 +1806,7 @@ mod tests {
             let k = server.shards().shard_index(node.artifact);
             assert!(guards[k].contains(node.artifact));
         }
-        // Stats fold across per-shard sub-counters.
-        let stats = server.stats();
-        assert_eq!(stats.workloads, 2);
+        assert_eq!(server.stats().workloads, 2);
     }
 
     #[test]

@@ -82,15 +82,7 @@ impl ExperimentGraph {
     /// materializer's decision and happens separately via
     /// [`ExperimentGraph::storage_mut`].
     pub fn update_with_workload(&mut self, dag: &WorkloadDag) -> Result<()> {
-        for idx in 0..dag.n_nodes() {
-            if self.merge_workload_node(dag, idx)? {
-                let child = dag.nodes()[idx].artifact;
-                for p in dag.parents(crate::workload::NodeId(idx)) {
-                    self.add_child_link(dag.nodes()[p.0].artifact, child)?;
-                }
-            }
-        }
-        Ok(())
+        crate::shard::merge_workload(&mut [self], dag, &vec![true; dag.n_nodes()]).map(drop)
     }
 
     /// Merge a single node of an executed workload DAG into this graph —
@@ -291,30 +283,6 @@ impl ExperimentGraph {
         self.storage = storage;
     }
 
-    /// Approximate recreation cost `Cr(v)` for every vertex, computed in
-    /// one topological pass as `t(v) + Σ_parents Cr(p)` — the linear-time
-    /// scheme the paper uses (§5.2 "we compute the recreation cost and
-    /// potential of the nodes incrementally using one pass"). On DAGs with
-    /// shared ancestors this over-counts; see
-    /// [`ExperimentGraph::exact_recreation_cost`].
-    ///
-    /// Materialized vertices still report their full recreation cost (the
-    /// utility function compares it against the load cost).
-    #[must_use]
-    pub fn recreation_costs(&self) -> HashMap<ArtifactId, f64> {
-        let mut costs: HashMap<ArtifactId, f64> = HashMap::with_capacity(self.vertices.len());
-        for id in &self.topo {
-            let v = &self.vertices[id];
-            let parent_cost: f64 = v
-                .parents
-                .iter()
-                .map(|p| costs.get(p).copied().unwrap_or(0.0))
-                .sum();
-            costs.insert(*id, v.compute_time + parent_cost);
-        }
-        costs
-    }
-
     /// Exact recreation cost: the sum of `t` over the vertex's compute
     /// graph (all distinct ancestors, including itself).
     pub fn exact_recreation_cost(&self, id: ArtifactId) -> Result<f64> {
@@ -333,29 +301,6 @@ impl ExperimentGraph {
         Ok(total)
     }
 
-    /// Potential `p(v)` for every vertex: the quality of the best ML model
-    /// reachable from it (paper §5.1), computed in one reverse topological
-    /// pass.
-    #[must_use]
-    pub fn potentials(&self) -> HashMap<ArtifactId, f64> {
-        let mut potential: HashMap<ArtifactId, f64> = HashMap::with_capacity(self.vertices.len());
-        for id in self.topo.iter().rev() {
-            let v = &self.vertices[id];
-            let own = if v.kind == NodeKind::Model {
-                v.quality
-            } else {
-                0.0
-            };
-            let best_child = v
-                .children
-                .iter()
-                .map(|c| potential.get(c).copied().unwrap_or(0.0))
-                .fold(0.0, f64::max);
-            potential.insert(*id, own.max(best_child));
-        }
-        potential
-    }
-
     /// All vertices (arbitrary order).
     pub fn vertices(&self) -> impl Iterator<Item = &EgVertex> {
         self.vertices.values()
@@ -372,6 +317,7 @@ impl ExperimentGraph {
 mod tests {
     use super::*;
     use crate::operation::Operation;
+    use crate::shard::EgView;
     use crate::value::Value;
     use crate::workload::WorkloadDag;
     use co_dataframe::Scalar;
@@ -462,7 +408,7 @@ mod tests {
         let mut eg = ExperimentGraph::new(true);
         let w = build_workload(0.5);
         eg.update_with_workload(&w).unwrap();
-        let costs = eg.recreation_costs();
+        let costs = EgView::new(vec![&eg]).recreation_costs();
         let (s, a, b, c) = (
             w.nodes()[0].artifact,
             w.nodes()[1].artifact,
@@ -499,7 +445,10 @@ mod tests {
             5.0 + 1.0 + 2.0 + 4.0
         );
         // The linear approximation counts the source twice.
-        assert_eq!(eg.recreation_costs()[&m_id], 5.0 + 1.0 + 5.0 + 2.0 + 4.0);
+        assert_eq!(
+            EgView::new(vec![&eg]).recreation_costs()[&m_id],
+            5.0 + 1.0 + 5.0 + 2.0 + 4.0
+        );
     }
 
     #[test]
@@ -507,7 +456,7 @@ mod tests {
         let mut eg = ExperimentGraph::new(true);
         let w = build_workload(0.8);
         eg.update_with_workload(&w).unwrap();
-        let p = eg.potentials();
+        let p = EgView::new(vec![&eg]).potentials();
         let (s, a, b, c) = (
             w.nodes()[0].artifact,
             w.nodes()[1].artifact,
@@ -535,7 +484,7 @@ mod tests {
         dag.node_mut(b2).unwrap().quality = 0.95;
         eg.update_with_workload(&dag).unwrap();
 
-        let p = eg.potentials();
+        let p = EgView::new(vec![&eg]).potentials();
         let a_id = dag.nodes()[a.0].artifact;
         assert_eq!(p[&a_id], 0.95);
     }

@@ -3,7 +3,7 @@
 //! Figure 1 is exactly such a rendering of a workload DAG).
 
 use crate::artifact::NodeKind;
-use crate::experiment::ExperimentGraph;
+use crate::shard::EgView;
 use crate::workload::{NodeId, WorkloadDag};
 use std::fmt::Write as _;
 
@@ -76,19 +76,20 @@ pub struct EgStats {
     pub max_frequency: u64,
 }
 
-/// Compute [`EgStats`].
+/// Compute [`EgStats`] over every shard of the graph. Stored unique
+/// bytes include the shared column vault of a sharded store.
 #[must_use]
-pub fn eg_stats(eg: &ExperimentGraph) -> EgStats {
+pub fn eg_stats(eg: &EgView<'_>) -> EgStats {
     let mut stats = EgStats {
         n_vertices: eg.n_vertices(),
-        n_sources: eg.sources().len(),
+        n_sources: eg.sources().count(),
         n_datasets: 0,
         n_aggregates: 0,
         n_models: 0,
-        n_materialized: eg.storage().n_artifacts(),
+        n_materialized: eg.materialized_ids().len(),
         total_bytes: 0,
-        stored_unique_bytes: eg.storage().unique_bytes(),
-        stored_logical_bytes: eg.storage().logical_bytes(),
+        stored_unique_bytes: eg.unique_bytes(),
+        stored_logical_bytes: eg.logical_bytes(),
         best_model_quality: 0.0,
         max_frequency: 0,
     };
@@ -108,6 +109,7 @@ pub fn eg_stats(eg: &ExperimentGraph) -> EgStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ExperimentGraph;
     use crate::operation::Operation;
     use crate::value::Value;
     use co_dataframe::Scalar;
@@ -175,7 +177,7 @@ mod tests {
     fn stats_count_kinds_and_storage() {
         let mut eg = ExperimentGraph::new(true);
         eg.update_with_workload(&dag()).unwrap();
-        let stats = eg_stats(&eg);
+        let stats = eg_stats(&EgView::new(vec![&eg]));
         assert_eq!(stats.n_vertices, 3);
         assert_eq!(stats.n_sources, 1);
         assert_eq!(stats.n_models, 1);

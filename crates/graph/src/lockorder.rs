@@ -19,7 +19,7 @@
 //!
 //! 1. **Descending write** — write-locking shard `k` while holding
 //!    any lock on shard `j > k` of the same graph. The engine's
-//!    protocol (see `ShardedEg::write_set`) is ascending-only, so
+//!    protocol (see `ShardedEg::write_all`) is ascending-only, so
 //!    this is a violation even if no cycle has materialised yet.
 //! 2. **Re-entrant acquisition** — locking a shard this thread
 //!    already holds, where either side is a write: guaranteed
@@ -164,7 +164,7 @@ pub fn acquire(graph: u64, shard: usize, mode: Mode) -> Held {
                 return Some(format!(
                     "lock-order witness: descending write acquisition: shard {shard} \
                      write-locked at {site} while shard {} ({}) is held, taken at {} \
-                     — cross-shard acquisitions must ascend (see ShardedEg::write_set)",
+                     — cross-shard acquisitions must ascend (see ShardedEg::write_all)",
                     e.shard,
                     e.mode.name(),
                     e.site,

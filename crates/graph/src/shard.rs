@@ -1,16 +1,15 @@
 //! Sharding the Experiment Graph into N lock shards.
 //!
-//! One global `RwLock<ExperimentGraph>` serialises every publish; on a
-//! busy server the lock — not the work — becomes the bottleneck. This
-//! module partitions the graph by artifact id (the op-lineage hash, so
-//! the partition is stable across runs and machines): vertex `v` lives
-//! in shard [`shard_of`]`(v.id, n)`, each shard behind its own
-//! `RwLock`. Publishes touching disjoint shard sets proceed in
-//! parallel; a publish spanning several shards takes their write locks
-//! in **strictly ascending index order** and holds them all until its
-//! journal records and the cross-shard commit record are durable —
-//! with a single global acquisition order a deadlock is impossible by
-//! construction.
+//! This module partitions the graph by artifact id (the op-lineage
+//! hash, so the partition is stable across runs and machines): vertex
+//! `v` lives in shard [`shard_of`]`(v.id, n)`, each shard behind its own
+//! `RwLock` and with its own journal. A publish runs the paper's single
+//! updater — merge, then one materializer pass over the whole graph — so
+//! it takes **every** shard's write lock in strictly ascending index
+//! order ([`ShardedEg::write_all`]) and holds them until its per-shard
+//! journal records and any cross-shard commit record are durable. Other
+//! writers lock one shard, or ascend the same way, so a deadlock is
+//! impossible by construction.
 //!
 //! The pieces:
 //!
@@ -20,7 +19,8 @@
 //!   the warmstart search use, so they work against either a plain
 //!   [`ExperimentGraph`] or a sharded view;
 //! * [`EgView`] — a consistent multi-shard read view (borrowing all N
-//!   read guards), routing each query to the owning shard;
+//!   read guards), routing each query to the owning shard and offering
+//!   the whole-graph walks the materializers rank by;
 //! * [`ShardedEg`] — the shard array itself, with ordered-lock helpers
 //!   and per-shard lock-wait accounting;
 //! * [`rewire_children`] — the recovery pass that rebuilds cross-shard
@@ -43,7 +43,7 @@
 //! eg.commit                      the cross-shard commit log (EGCMT 1)
 //! ```
 
-use crate::artifact::ArtifactId;
+use crate::artifact::{ArtifactId, NodeKind};
 use crate::error::Result;
 use crate::experiment::{EgVertex, ExperimentGraph};
 use crate::faults::FaultInjector;
@@ -52,8 +52,11 @@ use crate::lockorder;
 use crate::snapshot;
 use crate::storage::{ColumnVault, StorageManager};
 use crate::value::Value;
+use crate::workload::{NodeId, WorkloadDag};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -132,8 +135,8 @@ impl GraphQuery for ExperimentGraph {
 /// routing every query to the shard owning the artifact. Construct it
 /// from the read guards of [`ShardedEg::read_all`]; holding all N read
 /// guards makes the view a consistent cut (no publish can be half
-/// visible, because a publish holds the write locks of every shard it
-/// touches until it commits).
+/// visible, because a publish holds every shard's write lock until it
+/// commits).
 pub struct EgView<'a> {
     shards: Vec<&'a ExperimentGraph>,
 }
@@ -149,22 +152,177 @@ impl<'a> EgView<'a> {
         EgView { shards }
     }
 
+    /// Build a view over a shard array's guards (or plain graph
+    /// references), e.g. those of [`ShardedEg::read_all`].
+    ///
+    /// # Panics
+    /// Panics when `guards` is empty.
+    #[must_use]
+    pub fn of<G: Deref<Target = ExperimentGraph>>(guards: &'a [G]) -> Self {
+        EgView::new(guards.iter().map(|g| &**g).collect())
+    }
+
     /// The shard owning `id`.
     #[must_use]
     pub fn owner(&self, id: ArtifactId) -> &'a ExperimentGraph {
         self.shards[shard_of(id, self.shards.len())]
     }
 
-    /// Number of shards in the view.
-    #[must_use]
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total vertex count across all shards.
     #[must_use]
     pub fn n_vertices(&self) -> usize {
         self.shards.iter().map(|s| s.n_vertices()).sum()
+    }
+
+    /// Every vertex of every shard (arbitrary order).
+    pub fn vertices(&self) -> impl Iterator<Item = &'a EgVertex> + '_ {
+        self.shards
+            .iter()
+            .copied()
+            .flat_map(ExperimentGraph::vertices)
+    }
+
+    /// Every source artifact id, shard by shard.
+    pub fn sources(&self) -> impl Iterator<Item = ArtifactId> + '_ {
+        self.shards
+            .iter()
+            .copied()
+            .flat_map(|s| s.sources().iter().copied())
+    }
+
+    /// Every artifact whose content a shard's store holds, shard by
+    /// shard.
+    #[must_use]
+    pub fn materialized_ids(&self) -> Vec<ArtifactId> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.storage().materialized_ids())
+            .collect()
+    }
+
+    /// Whether the stores deduplicate columns (every shard's store is
+    /// built alike).
+    #[must_use]
+    pub fn dedup_enabled(&self) -> bool {
+        self.shards[0].storage().dedup_enabled()
+    }
+
+    /// Nominal bytes of every materialized artifact.
+    #[must_use]
+    pub fn logical_bytes(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.storage().logical_bytes())
+            .sum()
+    }
+
+    /// Bytes physically held: the shared column vault (when sharded
+    /// with dedup) plus every shard store's own bytes.
+    #[must_use]
+    pub fn unique_bytes(&self) -> u64 {
+        let local: u64 = self.shards.iter().map(|s| s.storage().unique_bytes()).sum();
+        local
+            + self.shards[0]
+                .storage()
+                .vault()
+                .map_or(0, |v| v.unique_bytes())
+    }
+
+    /// A topological order of the whole graph. One shard lends its own
+    /// insertion order. Shards do not record how their insertions
+    /// interleaved, so for several shards this is a deterministic merge
+    /// of their orders: sweep the shards in index order, taking each
+    /// one's next vertices while every parent is already placed (or
+    /// unknown to the view).
+    #[must_use]
+    pub fn topo_order(&self) -> Cow<'a, [ArtifactId]> {
+        if let [only] = self.shards[..] {
+            return Cow::Borrowed(only.topo_order());
+        }
+        let total = self.n_vertices();
+        let mut out = Vec::with_capacity(total);
+        let mut placed: HashSet<ArtifactId> = HashSet::with_capacity(total);
+        let mut heads = vec![0usize; self.shards.len()];
+        loop {
+            let before = out.len();
+            for (k, shard) in self.shards.iter().enumerate() {
+                let order = shard.topo_order();
+                while let Some(&id) = order.get(heads[k]) {
+                    let ready = shard.vertex(id).map_or(true, |v| {
+                        v.parents
+                            .iter()
+                            .all(|p| placed.contains(p) || self.lookup(*p).is_none())
+                    });
+                    if !ready {
+                        break;
+                    }
+                    placed.insert(id);
+                    out.push(id);
+                    heads[k] += 1;
+                }
+            }
+            if out.len() == before {
+                break;
+            }
+        }
+        // The sweep places everything (each shard's order is a
+        // restriction of the insertion order); keep a corrupt graph's
+        // leftovers rather than drop them.
+        for (k, shard) in self.shards.iter().enumerate() {
+            out.extend_from_slice(&shard.topo_order()[heads[k]..]);
+        }
+        Cow::Owned(out)
+    }
+
+    /// Approximate recreation cost `Cr(v)` for every vertex, computed in
+    /// one topological pass as `t(v) + Σ_parents Cr(p)` — the linear-time
+    /// scheme the paper uses (§5.2 "we compute the recreation cost and
+    /// potential of the nodes incrementally using one pass"). On DAGs with
+    /// shared ancestors this over-counts; see
+    /// [`ExperimentGraph::exact_recreation_cost`]. Every value depends
+    /// only on the vertex and its parents, so any topological order —
+    /// and any shard count — gives bitwise the same map.
+    ///
+    /// Materialized vertices still report their full recreation cost (the
+    /// utility function compares it against the load cost).
+    #[must_use]
+    pub fn recreation_costs(&self) -> HashMap<ArtifactId, f64> {
+        let order = self.topo_order();
+        let mut costs: HashMap<ArtifactId, f64> = HashMap::with_capacity(order.len());
+        for id in order.iter() {
+            let Some(v) = self.lookup(*id) else { continue };
+            let parent_cost: f64 = v
+                .parents
+                .iter()
+                .map(|p| costs.get(p).copied().unwrap_or(0.0))
+                .sum();
+            costs.insert(*id, v.compute_time + parent_cost);
+        }
+        costs
+    }
+
+    /// Potential `p(v)` for every vertex: the quality of the best ML model
+    /// reachable from it (paper §5.1), computed in one reverse topological
+    /// pass.
+    #[must_use]
+    pub fn potentials(&self) -> HashMap<ArtifactId, f64> {
+        let order = self.topo_order();
+        let mut potential: HashMap<ArtifactId, f64> = HashMap::with_capacity(order.len());
+        for id in order.iter().rev() {
+            let Some(v) = self.lookup(*id) else { continue };
+            let own = if v.kind == NodeKind::Model {
+                v.quality
+            } else {
+                0.0
+            };
+            let best_child = v
+                .children
+                .iter()
+                .map(|c| potential.get(c).copied().unwrap_or(0.0))
+                .fold(0.0, f64::max);
+            potential.insert(*id, own.max(best_child));
+        }
+        potential
     }
 }
 
@@ -190,9 +348,9 @@ impl GraphQuery for EgView<'_> {
 /// The Experiment Graph as an array of lock shards.
 ///
 /// Locking protocol: any operation taking more than one **write** lock
-/// must take them in ascending shard-index order ([`ShardedEg::write_set`]
-/// enforces this), and hold all of them until the operation — including
-/// its durability writes — is complete. Read-side consistency comes
+/// must take them in ascending shard-index order ([`ShardedEg::write_all`]
+/// does; the lock-order witness checks it), and hold all of them until
+/// the operation — including its durability writes — is complete. Read-side consistency comes
 /// from [`ShardedEg::read_all`], which acquires every read lock
 /// (ascending, same order, so readers cannot deadlock writers either).
 pub struct ShardedEg {
@@ -200,7 +358,6 @@ pub struct ShardedEg {
     /// Nanoseconds spent *blocked* acquiring each shard's write lock
     /// (uncontended acquisitions cost nothing and are not counted).
     lock_wait_ns: Vec<AtomicU64>,
-    vault: Option<Arc<ColumnVault>>,
     /// Identity in the runtime lock-order witness (see
     /// [`crate::lockorder`]); orders are only compared within one
     /// sharded graph.
@@ -215,7 +372,7 @@ pub struct ShardReadGuard<'a> {
     _witness: lockorder::Held,
 }
 
-impl std::ops::Deref for ShardReadGuard<'_> {
+impl Deref for ShardReadGuard<'_> {
     type Target = ExperimentGraph;
     fn deref(&self) -> &ExperimentGraph {
         &self.inner
@@ -228,14 +385,14 @@ pub struct ShardWriteGuard<'a> {
     _witness: lockorder::Held,
 }
 
-impl std::ops::Deref for ShardWriteGuard<'_> {
+impl Deref for ShardWriteGuard<'_> {
     type Target = ExperimentGraph;
     fn deref(&self) -> &ExperimentGraph {
         &self.inner
     }
 }
 
-impl std::ops::DerefMut for ShardWriteGuard<'_> {
+impl DerefMut for ShardWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut ExperimentGraph {
         &mut self.inner
     }
@@ -247,32 +404,21 @@ impl ShardedEg {
     /// deduplication matches the single-shard store's behaviour.
     #[must_use]
     pub fn new(n_shards: usize, dedup: bool) -> Self {
-        let n = n_shards.max(1);
-        let vault = (n > 1 && dedup).then(|| Arc::new(ColumnVault::new(n)));
-        let shards = (0..n)
-            .map(|_| {
-                let mut eg = ExperimentGraph::new(dedup);
-                if let Some(v) = &vault {
-                    eg.set_storage(StorageManager::new_vaulted(Arc::clone(v)));
-                }
-                RwLock::new(eg)
-            })
+        let mut graphs: Vec<ExperimentGraph> = (0..n_shards.max(1))
+            .map(|_| ExperimentGraph::new(dedup))
             .collect();
-        ShardedEg {
-            shards,
-            lock_wait_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            vault,
-            witness: lockorder::next_graph_id(),
-        }
+        share_vault(&mut graphs, dedup);
+        ShardedEg::from_graphs(graphs)
     }
 
-    /// Assemble a sharded graph from recovered per-shard graphs (see
-    /// [`recover_shards`], which also builds the shared vault).
+    /// Assemble a sharded graph from per-shard graphs (see
+    /// [`recover_shards`], which also re-homes their stores onto the
+    /// shared vault).
     ///
     /// # Panics
     /// Panics when `graphs` is empty.
     #[must_use]
-    pub fn from_graphs(graphs: Vec<ExperimentGraph>, vault: Option<Arc<ColumnVault>>) -> Self {
+    pub fn from_graphs(graphs: Vec<ExperimentGraph>) -> Self {
         assert!(
             !graphs.is_empty(),
             "a sharded graph needs at least one shard"
@@ -281,21 +427,13 @@ impl ShardedEg {
         ShardedEg {
             shards: graphs.into_iter().map(RwLock::new).collect(),
             lock_wait_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            vault,
             witness: lockorder::next_graph_id(),
         }
     }
-
     /// Number of shards.
     #[must_use]
     pub fn n_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The shared column vault (present iff sharded + dedup).
-    #[must_use]
-    pub fn vault(&self) -> Option<&Arc<ColumnVault>> {
-        self.vault.as_ref()
     }
 
     /// The shard index owning an artifact.
@@ -349,35 +487,14 @@ impl ShardedEg {
         guards
     }
 
-    /// Write-lock every shard in ascending order — quiesces all
-    /// publishes (used by compaction and eviction sweeps).
+    /// Write-lock every shard in ascending order — the publish path's
+    /// lock set, and the one compaction takes.
     #[track_caller]
     #[must_use]
     pub fn write_all(&self) -> Vec<ShardWriteGuard<'_>> {
         let mut guards = Vec::with_capacity(self.shards.len());
         for k in 0..self.shards.len() {
             guards.push(self.write(k));
-        }
-        guards
-    }
-
-    /// Write-lock the given shard set. `ks` must be strictly ascending
-    /// and in range — the ordered-lock protocol that makes cross-shard
-    /// publishes deadlock-free.
-    ///
-    /// # Panics
-    /// Panics when `ks` is not strictly ascending (a protocol violation
-    /// which could deadlock; failing loudly beats hanging).
-    #[track_caller]
-    #[must_use]
-    pub fn write_set(&self, ks: &[usize]) -> Vec<(usize, ShardWriteGuard<'_>)> {
-        assert!(
-            ks.windows(2).all(|w| w[0] < w[1]),
-            "write_set requires strictly ascending shard indices, got {ks:?}"
-        );
-        let mut guards = Vec::with_capacity(ks.len());
-        for &k in ks {
-            guards.push((k, self.write(k)));
         }
         guards
     }
@@ -400,6 +517,46 @@ impl ShardedEg {
                 .set_fault_injector(Arc::clone(faults));
         }
     }
+}
+
+/// With more than one shard and `dedup` on, put every shard's (empty)
+/// store onto one shared [`ColumnVault`], so cross-shard column
+/// deduplication matches the single-shard store's behaviour.
+fn share_vault(graphs: &mut [ExperimentGraph], dedup: bool) {
+    if graphs.len() > 1 && dedup {
+        let vault = Arc::new(ColumnVault::new(graphs.len()));
+        for graph in graphs {
+            graph.set_storage(StorageManager::new_vaulted(Arc::clone(&vault)));
+        }
+    }
+}
+
+/// Merge the kept nodes of an executed workload DAG into a shard array
+/// — the updater's merge step: each node lands in the shard owning its
+/// artifact, and each new vertex is linked as a child on its parents'
+/// shards. `keep` must be ancestor-closed (a kept node's parents are
+/// kept, or already in the graph). Returns each kept node's artifact in
+/// DAG order with whether it was inserted (false: an existing vertex was
+/// bumped). One shard is the trivial case
+/// ([`ExperimentGraph::update_with_workload`]).
+pub fn merge_workload<G: DerefMut<Target = ExperimentGraph>>(
+    shards: &mut [G],
+    dag: &WorkloadDag,
+    keep: &[bool],
+) -> Result<Vec<(ArtifactId, bool)>> {
+    let n = shards.len();
+    let mut merged = Vec::new();
+    for (i, node) in dag.nodes().iter().enumerate().filter(|(i, _)| keep[*i]) {
+        let inserted = shards[shard_of(node.artifact, n)].merge_workload_node(dag, i)?;
+        merged.push((node.artifact, inserted));
+        if inserted {
+            for p in dag.parents(NodeId(i)) {
+                let parent = dag.nodes()[p.0].artifact;
+                shards[shard_of(parent, n)].add_child_link(parent, node.artifact)?;
+            }
+        }
+    }
+    Ok(merged)
 }
 
 /// Rebuild children links across a freshly recovered shard array.
@@ -444,9 +601,6 @@ pub fn rewire_children(shards: &mut [ExperimentGraph]) -> Vec<(ArtifactId, Artif
 pub struct ShardRecovery {
     /// The recovered shards, children links rewired, indexed by shard.
     pub graphs: Vec<ExperimentGraph>,
-    /// The shared column vault the graphs' stores use (present iff
-    /// more than one shard and dedup on).
-    pub vault: Option<Arc<ColumnVault>>,
     /// Recovered quarantine entries (persisted in shard 0 only).
     pub quarantine: Vec<QuarantineEntry>,
     /// Torn tails found: `(path, valid_len, bytes_discarded)`. The
@@ -544,14 +698,9 @@ pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardR
         }
     }
 
-    // Re-home every store onto one shared vault (recovered stores are
-    // empty — content is never persisted — so the swap loses nothing).
-    let vault = (n > 1 && dedup).then(|| Arc::new(ColumnVault::new(n)));
-    if let Some(v) = &vault {
-        for graph in &mut graphs {
-            graph.set_storage(StorageManager::new_vaulted(Arc::clone(v)));
-        }
-    }
+    // Recovered stores are empty — content is never persisted — so
+    // re-homing them onto the shared vault loses nothing.
+    share_vault(&mut graphs, dedup);
 
     let unresolved_links = rewire_children(&mut graphs);
     let quarantine = qmap
@@ -564,7 +713,6 @@ pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardR
         .collect();
     Ok(ShardRecovery {
         graphs,
-        vault,
         quarantine,
         torn,
         deltas_applied,
@@ -653,18 +801,64 @@ mod tests {
     }
 
     #[test]
-    fn write_set_enforces_ascending_order() {
-        let eg = ShardedEg::new(4, true);
-        let guards = eg.write_set(&[0, 2, 3]);
-        assert_eq!(
-            guards.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![0, 2, 3]
+    fn whole_graph_walks_agree_at_every_shard_count() {
+        // A DAG over ids 1..=40: each vertex takes one or two earlier
+        // parents (id 1 and every seventh id are sources), inserted in
+        // id order at 1 and at 8 shards.
+        let mut vertices: Vec<EgVertex> = Vec::new();
+        for id in 1..=40u64 {
+            let parents: Vec<u64> = if id == 1 || id % 7 == 0 {
+                Vec::new()
+            } else if id % 3 == 0 {
+                vec![id / 2, id - 1]
+            } else {
+                vec![id - 1]
+            };
+            let mut v = vertex(id, &parents);
+            v.compute_time = 0.1 * id as f64;
+            if id % 5 == 0 {
+                v.kind = NodeKind::Model;
+                v.quality = 1.0 / id as f64;
+            }
+            vertices.push(v);
+        }
+        let build = |n: usize| {
+            let mut graphs: Vec<ExperimentGraph> =
+                (0..n).map(|_| ExperimentGraph::new(true)).collect();
+            for v in &vertices {
+                graphs[shard_of(v.id, n)]
+                    .restore_vertex_unlinked(v.clone())
+                    .unwrap();
+            }
+            assert!(rewire_children(&mut graphs).is_empty());
+            graphs
+        };
+        let one = build(1);
+        let eight = build(8);
+        let (v1, v8) = (
+            EgView::new(one.iter().collect()),
+            EgView::new(eight.iter().collect()),
         );
-        drop(guards);
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = eg.write_set(&[2, 1]);
-        }))
-        .is_err());
+        assert!(matches!(v1.topo_order(), Cow::Borrowed(_)));
+        let order = v8.topo_order();
+        assert_eq!(order.len(), vertices.len());
+        let pos: HashMap<ArtifactId, usize> =
+            order.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+        for v in &vertices {
+            for p in &v.parents {
+                assert!(
+                    pos[p] < pos[&v.id],
+                    "{p:?} placed after its child {:?}",
+                    v.id
+                );
+            }
+        }
+        assert_eq!(order, v8.topo_order(), "the merge is deterministic");
+        assert_eq!(v1.recreation_costs(), v8.recreation_costs());
+        assert_eq!(v1.potentials(), v8.potentials());
+        let mut sources: Vec<ArtifactId> = v8.sources().collect();
+        sources.sort_unstable();
+        assert_eq!(sources, v1.sources().collect::<Vec<_>>());
     }
 
     #[test]
@@ -822,14 +1016,14 @@ mod tests {
     #[test]
     fn sharded_graph_shares_one_vault() {
         let eg = ShardedEg::new(4, true);
-        let vault = Arc::clone(eg.vault().unwrap());
+        let vault = Arc::clone(eg.read(0).storage().vault().unwrap());
         for k in 0..4 {
             let shard = eg.read(k);
             assert!(Arc::ptr_eq(shard.storage().vault().unwrap(), &vault));
         }
         // One shard and non-dedup stores get no vault.
-        assert!(ShardedEg::new(1, true).vault().is_none());
-        assert!(ShardedEg::new(4, false).vault().is_none());
+        assert!(ShardedEg::new(1, true).read(0).storage().vault().is_none());
+        assert!(ShardedEg::new(4, false).read(0).storage().vault().is_none());
     }
 
     #[test]
@@ -851,13 +1045,13 @@ mod tests {
         // Both offending acquisition sites are named (this file).
         assert_eq!(msg.matches("shard.rs").count(), 2, "{msg}");
         // The witness unwound cleanly: the graph is usable afterwards.
-        let _ok = eg.write_set(&[1, 3]);
+        let _lo = eg.write(1);
+        let _hi = eg.write(3);
     }
 
     #[test]
     fn witness_accepts_protocol_locking() {
         let eg = ShardedEg::new(4, false);
-        drop(eg.write_set(&[0, 2, 3]));
         drop(eg.read_all());
         drop(eg.write_all());
         let _r = eg.read(1);

@@ -439,6 +439,7 @@ mod tests {
     /// Origin label for snapshots parsed from in-memory strings.
     const IN_MEMORY: &str = "<memory>";
     use crate::operation::Operation;
+    use crate::shard::EgView;
     use crate::value::Value;
     use crate::workload::WorkloadDag;
     use co_dataframe::Scalar;
@@ -528,8 +529,14 @@ mod tests {
             assert!(restored.was_materialized(*src));
         }
         // Derived attributes recompute identically.
-        assert_eq!(restored.recreation_costs(), eg.recreation_costs());
-        assert_eq!(restored.potentials(), eg.potentials());
+        assert_eq!(
+            EgView::new(vec![&restored]).recreation_costs(),
+            EgView::new(vec![&eg]).recreation_costs()
+        );
+        assert_eq!(
+            EgView::new(vec![&restored]).potentials(),
+            EgView::new(vec![&eg]).potentials()
+        );
     }
 
     #[test]

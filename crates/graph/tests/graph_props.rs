@@ -4,7 +4,8 @@
 
 use co_dataframe::{Column, ColumnData, DataFrame, Scalar};
 use co_graph::{
-    snapshot, ArtifactId, ExperimentGraph, NodeKind, Operation, StorageManager, Value, WorkloadDag,
+    snapshot, ArtifactId, EgView, ExperimentGraph, NodeKind, Operation, StorageManager, Value,
+    WorkloadDag,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -83,11 +84,11 @@ proptest! {
         let mut eg = ExperimentGraph::new(true);
         eg.update_with_workload(&dag).unwrap();
         let n = eg.n_vertices();
-        let costs = eg.recreation_costs();
+        let costs = EgView::new(vec![&eg]).recreation_costs();
         for round in 2..4u64 {
             eg.update_with_workload(&dag).unwrap();
             prop_assert_eq!(eg.n_vertices(), n);
-            prop_assert_eq!(eg.recreation_costs(), costs.clone());
+            prop_assert_eq!(EgView::new(vec![&eg]).recreation_costs(), costs.clone());
             for node in dag.nodes() {
                 prop_assert_eq!(eg.vertex(node.artifact).unwrap().frequency, round);
             }
@@ -113,7 +114,7 @@ proptest! {
         let dag = build_dag(&specs);
         let mut eg = ExperimentGraph::new(false);
         eg.update_with_workload(&dag).unwrap();
-        let approx = eg.recreation_costs();
+        let approx = EgView::new(vec![&eg]).recreation_costs();
         for id in eg.topo_order() {
             let exact = eg.exact_recreation_cost(*id).unwrap();
             prop_assert!(exact <= approx[id] + 1e-9,
@@ -126,7 +127,7 @@ proptest! {
         let dag = build_dag(&specs);
         let mut eg = ExperimentGraph::new(false);
         eg.update_with_workload(&dag).unwrap();
-        let potentials = eg.potentials();
+        let potentials = EgView::new(vec![&eg]).potentials();
         for v in eg.vertices() {
             // A vertex's potential is at least every child's.
             for c in &v.children {
@@ -149,8 +150,8 @@ proptest! {
         let restored = shards.remove(0);
         prop_assert_eq!(restored.n_vertices(), eg.n_vertices());
         prop_assert_eq!(restored.topo_order(), eg.topo_order());
-        prop_assert_eq!(restored.recreation_costs(), eg.recreation_costs());
-        prop_assert_eq!(restored.potentials(), eg.potentials());
+        prop_assert_eq!(EgView::new(vec![&restored]).recreation_costs(), EgView::new(vec![&eg]).recreation_costs());
+        prop_assert_eq!(EgView::new(vec![&restored]).potentials(), EgView::new(vec![&eg]).potentials());
         // Fixpoint.
         prop_assert_eq!(snapshot::to_shard_snapshot(&restored, &[], 0).unwrap(), text);
     }

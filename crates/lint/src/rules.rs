@@ -156,8 +156,8 @@ fn matching_close(toks: &[Tok], open: usize) -> usize {
 /// receiver inside one function must be provably ascending — all
 /// indices constant and strictly increasing in source order. A
 /// non-constant index among multiple acquisitions is flagged as
-/// unprovable: such code must go through `write_set`, whose runtime
-/// assertion (and the lock-order witness) enforces the protocol.
+/// unprovable: such code must go through `write_all`, which ascends by
+/// construction (and the lock-order witness checks it).
 fn shard_lock_order(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     let toks = ctx.toks;
     // (fn id, line, Some(const index) | None)
@@ -201,7 +201,7 @@ fn shard_lock_order(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                         line: *line,
                         message: "multiple shard write-lock acquisitions in one function with a \
                                   non-constant index are not provably in ascending order — \
-                                  acquire the whole set via write_set(&[..]) instead"
+                                  acquire every shard via write_all() instead"
                             .into(),
                     });
                 }
@@ -456,7 +456,7 @@ fn blocking_under_lock(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                     && toks.get(k + 1).is_some_and(|n| n.is_punct("("))
                     && matches!(
                         tk.text.as_str(),
-                        "write" | "read" | "write_set" | "read_all" | "write_all"
+                        "write" | "read" | "read_all" | "write_all"
                     )
                     && receiver_name(toks, k - 1).is_some_and(|r| is_sharded_receiver(&r))
                 {

@@ -81,7 +81,7 @@ fn main() {
     let (server, recovery) =
         OptimizerServer::open(config, DurabilityConfig::new(&dir)).expect("reopen data dir");
     println!("{}", recovery.render());
-    let eg = server.eg();
+    let eg = server.shards().read(0);
     println!(
         "recovered graph: {} vertices, {} flagged materialized",
         eg.n_vertices(),

@@ -10,6 +10,7 @@
 use co_core::advisor;
 use co_core::{OptimizerServer, ServerConfig};
 use co_graph::export::{eg_stats, workload_to_dot};
+use co_graph::EgView;
 use co_workloads::data::creditg;
 use co_workloads::openml::pipeline;
 
@@ -31,8 +32,10 @@ fn main() {
         .expect("plans");
     println!("{plan}");
 
-    // 2. Graph dashboard.
-    let stats = eg_stats(&server.eg());
+    // 2. Graph dashboard, over a consistent view of every shard.
+    let guards = server.shards().read_all();
+    let eg = EgView::of(&guards);
+    let stats = eg_stats(&eg);
     println!("== Experiment Graph ==");
     println!(
         "{} vertices ({} datasets, {} models, {} aggregates), {} materialized",
@@ -60,7 +63,7 @@ fn main() {
 
     // 3. The community leaderboard and hyperparameter advice (paper §9).
     println!("\n== model leaderboard (top 5) ==");
-    for (i, entry) in advisor::leaderboard(&server.eg(), 5).iter().enumerate() {
+    for (i, entry) in advisor::leaderboard(&eg, 5).iter().enumerate() {
         println!(
             "{}. q={:.3}  f={}  depth={}  {}{}",
             i + 1,
@@ -75,6 +78,8 @@ fn main() {
             }
         );
     }
+
+    drop(guards);
 
     // 4. Render a workload DAG for the paper's Figure-1-style view.
     let mut dag = pipeline(&data, 3, 11).expect("builds");

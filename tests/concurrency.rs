@@ -49,7 +49,7 @@ fn identical_concurrent_submissions_converge() {
     .unwrap();
     // One artifact set, regardless of racing updaters.
     let dag = simple_workload(&data, 0.3);
-    let eg = server.eg();
+    let eg = server.shards().read(0);
     for node in dag.nodes() {
         assert!(eg.contains(node.artifact));
         assert!(eg.vertex(node.artifact).unwrap().frequency >= 1);
@@ -71,7 +71,7 @@ fn distinct_concurrent_submissions_all_land_in_the_graph() {
         }
     })
     .unwrap();
-    let eg = server.eg();
+    let eg = server.shards().read(0);
     for &lr in &rates {
         let dag = simple_workload(&data, lr);
         for node in dag.nodes() {

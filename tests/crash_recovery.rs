@@ -351,6 +351,169 @@ fn interleaved_single_and_cross_shard_publishes_recover_at_every_crash_point() {
     }
 }
 
+/// A dataset operation with a fixed cost (a sleep) and a fixed output
+/// size (`rows` floats in one column whose id is unique to the op), so
+/// that under a tight budget the storage-aware materializer stores and
+/// evicts by these numbers.
+struct Work {
+    name: String,
+    millis: u64,
+    rows: usize,
+}
+
+impl Operation for Work {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn params_digest(&self) -> String {
+        String::new()
+    }
+    fn output_kind(&self) -> NodeKind {
+        NodeKind::Dataset
+    }
+    fn run(&self, _inputs: &[&Value]) -> co_graph::Result<Value> {
+        std::thread::sleep(std::time::Duration::from_millis(self.millis));
+        let column = co_dataframe::Column::derived(
+            "v",
+            co_dataframe::ColumnId::source(&self.name, "v"),
+            co_dataframe::ColumnData::Float(vec![1.0; self.rows]),
+        );
+        Ok(Value::dataset(
+            co_dataframe::DataFrame::new(vec![column]).expect("one column"),
+        ))
+    }
+}
+
+/// One chain `src → ops[0] → ops[1] → …` over a fixed op table (cost in
+/// ms, output rows of 8 B); `salt` renames the ops — re-routing their
+/// artifacts to other shards — without changing costs or sizes.
+fn budget_chain(ops: &[&str], salt: u64) -> WorkloadDag {
+    let mut dag = WorkloadDag::new();
+    let src =
+        co_dataframe::Column::source("src", "x", co_dataframe::ColumnData::Float(vec![0.5; 1000]));
+    let mut prev = dag.add_source(
+        "src",
+        Value::dataset(co_dataframe::DataFrame::new(vec![src]).expect("one column")),
+    );
+    for name in ops {
+        let (millis, rows) = match *name {
+            "p" => (20, 1000),
+            "q" => (40, 500),
+            "r" => (100, 500),
+            other => panic!("unknown op {other}"),
+        };
+        let op = Arc::new(Work {
+            name: format!("{name}{salt}"),
+            millis,
+            rows,
+        });
+        prev = dag.add_op(op, &[prev]).unwrap();
+    }
+    dag.mark_terminal(prev).unwrap();
+    dag
+}
+
+/// A budgeted sequence in which the storage-aware materializer evicts.
+/// At 13 000 B the source (8 000 B) leaves room for one 4 000 B
+/// artifact: the first workload stores `p/q` (`f·Cr/s` = 60/4000, far
+/// above `p`'s 20/8000), and the second stores `r` (100/4000) in its
+/// place, evicting `p/q` although the second workload never uses it.
+const BUDGET: u64 = 13_000;
+const BUDGET_SEQUENCE: [&[&str]; 2] = [&["p", "q"], &["r"]];
+
+/// The op-name salt for [`BUDGET_SEQUENCE`] at eight shards: chosen so
+/// that `r` shares the source's shard while `p/q` lives elsewhere, which
+/// makes the second publish's merge a one-shard change that its
+/// eviction turns cross-shard (asserted by the test, so a routing
+/// change cannot silently drop the coverage).
+const BUDGET_SALT: u64 = 9;
+
+/// Each publish's per-shard journal records, by sequence number.
+fn journaled_publishes(dir: &std::path::Path, n: usize) -> BTreeMap<u64, Vec<co_graph::EgDelta>> {
+    let mut publishes: BTreeMap<u64, Vec<co_graph::EgDelta>> = BTreeMap::new();
+    for k in 0..n {
+        let replay = co_graph::journal::replay(&dir.join(format!("eg-{k}.wal"))).unwrap();
+        for delta in replay.deltas {
+            publishes.entry(delta.seq).or_default().push(delta);
+        }
+    }
+    publishes
+}
+
+/// The journal crash matrix over a budgeted sequence in which the
+/// paper's materializer evicts, at eight shards: a crash at every
+/// reachable point of every publish reopens to exactly the committed
+/// prefix, egfsck-clean. The sequence's journal holds a shard record
+/// carrying only an eviction, in a publish that became cross-shard
+/// through that eviction.
+#[test]
+fn budgeted_evictions_recover_at_every_crash_point() {
+    let n = 8;
+    let mut config = config_at(n);
+    config.budget = BUDGET;
+    let sequence: Vec<WorkloadDag> = BUDGET_SEQUENCE
+        .iter()
+        .map(|ops| budget_chain(ops, BUDGET_SALT))
+        .collect();
+
+    // A fault-free run records each publish's shard span.
+    let dry = data_dir("budgeted_evictions_dry");
+    let (server, _) = open(config, &dry);
+    for dag in &sequence {
+        server.run_workload(dag.clone()).unwrap();
+    }
+    drop(server);
+    let publishes = journaled_publishes(&dry, n);
+    assert_eq!(
+        publishes.len(),
+        sequence.len(),
+        "one journaled publish per workload"
+    );
+    let mat_only = |d: &co_graph::EgDelta| d.new_vertices.is_empty() && d.touched.is_empty();
+    assert!(
+        publishes.values().flatten().any(mat_only),
+        "no shard record holds only mat changes"
+    );
+    assert!(
+        publishes.values().any(|deltas| {
+            deltas.len() > 1
+                && deltas.iter().filter(|d| !mat_only(d)).count() == 1
+                && deltas
+                    .iter()
+                    .any(|d| mat_only(d) && !d.mat_removed.is_empty())
+        }),
+        "no publish became cross-shard through its evictions"
+    );
+    let spans: Vec<usize> = publishes.values().map(Vec::len).collect();
+
+    for (victim, span) in spans.iter().enumerate() {
+        for point in crash_points(*span) {
+            let dir = data_dir(&format!("budgeted_evictions_{victim}_{}", point.name()));
+            let (server, _) = open(config, &dir);
+            let faults = Arc::new(FaultInjector::new());
+            server.set_fault_injector(Arc::clone(&faults));
+            for dag in &sequence[..victim] {
+                server.run_workload(dag.clone()).unwrap();
+            }
+            let committed = fingerprint(&server);
+
+            faults.arm_crash(point);
+            let err = server.run_workload(sequence[victim].clone()).unwrap_err();
+            assert!(err.to_string().contains(point.name()), "{point:?}: {err}");
+            assert!(server.is_wedged());
+            drop(server);
+
+            let (reopened, _) = open(config, &dir);
+            assert_eq!(
+                fingerprint(&reopened),
+                committed,
+                "crash at {point:?} in publish {victim}"
+            );
+            assert_fsck_clean(&reopened, &dir);
+        }
+    }
+}
+
 #[test]
 fn snapshot_crash_points_never_damage_the_live_snapshot() {
     snapshot_crash_matrix(1);
@@ -642,4 +805,10 @@ fn older_layouts_are_rejected_not_read_as_empty() {
     assert!(err.to_string().contains("EGWAL 1"), "{err}");
     let err = co_graph::fsck::check_data_dir(&old_journals, true).unwrap_err();
     assert!(err.to_string().contains("EGWAL 1"), "{err}");
+
+    // Both directories are unreadable by design: remove them, so the
+    // egfsck sweep over the directories tests leave checks only ones
+    // that must be clean.
+    std::fs::remove_dir_all(&single).unwrap();
+    std::fs::remove_dir_all(&old_journals).unwrap();
 }

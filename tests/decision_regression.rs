@@ -1,11 +1,13 @@
-//! Decision regression at one shard: a fixed sequence of workloads with
-//! well-separated costs and sizes, driven through a durable `shards = 1`
-//! server, must produce exactly the recorded optimizer decisions — the
-//! vertex set with its frequencies, the materialized set, and every
-//! workload's reuse plan. The expected values were recorded from the
-//! server's former dedicated one-shard publish path, so this test pins
-//! that the paper's materializer and planner decide the same at N = 1
-//! on the one durable layout and publish path.
+//! Decision regression at every shard count: a fixed sequence of
+//! workloads with well-separated costs and sizes, driven through a
+//! durable server at `shards = 1` and at `shards = 8`, must produce
+//! exactly the recorded optimizer decisions — the vertex set with its
+//! frequencies, the materialized set, and every workload's reuse plan.
+//! The expected values were recorded from the server's former dedicated
+//! one-shard publish path. Each publish runs the paper's materializer
+//! over the whole graph at any shard count, so the shard count changes
+//! only which files hold the journal and whether publishes need commit
+//! records.
 
 use co_core::{DurabilityConfig, OptimizerServer, ServerConfig};
 use co_dataframe::{Column, ColumnData, ColumnId, DataFrame};
@@ -149,14 +151,17 @@ fn graph_state(server: &OptimizerServer) -> (String, String) {
     (vertices.join(" "), mat.join(" "))
 }
 
-#[test]
-fn single_shard_durable_server_makes_the_recorded_decisions() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("decision_regression");
+/// Drive the sequence through a durable `shards`-way server and check
+/// the recorded decisions, the data directory, and a restart.
+fn run_recorded_sequence(shards: usize) {
+    let dir =
+        PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("decision_regression_s{shards}"));
     let _ = std::fs::remove_dir_all(&dir);
     // Room for the source (8 000 B) plus 13 000 B of derived artifacts:
     // the storage-aware materializer must choose, and evicts `a` once
     // the `a/c` prefix has earned its bytes.
-    let config = ServerConfig::collaborative(21_000);
+    let mut config = ServerConfig::collaborative(21_000);
+    config.shards = shards;
     let (server, _) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
 
     let plans: Vec<String> = sequence()
@@ -178,7 +183,12 @@ fn single_shard_durable_server_makes_the_recorded_decisions() {
         "a/c/e=LOAD",
     ];
     for (i, (got, want)) in plans.iter().zip(expected_plans).enumerate() {
-        assert_eq!(got, want, "workload {} reuse plan", i + 1);
+        assert_eq!(
+            got,
+            want,
+            "workload {} reuse plan at {shards} shard(s)",
+            i + 1
+        );
     }
 
     let (vertices, mat) = graph_state(&server);
@@ -188,23 +198,40 @@ fn single_shard_durable_server_makes_the_recorded_decisions() {
     );
     assert_eq!(mat, "a/c a/c/e src", "materialized set");
 
-    // Every publish touched the one shard, so each was committed by its
-    // own journal record: the commit log is still just its magic, and
-    // the directory holds nothing but the one layout's files.
+    // The directory holds nothing but the layout's files: one journal
+    // per shard and the commit log. At one shard every publish is
+    // committed by its own journal record, so the commit log is still
+    // just its magic; at eight, publishes spanning shards appended
+    // commit records.
     drop(server);
-    let commit_log = std::fs::metadata(dir.join("eg.commit")).unwrap();
-    assert_eq!(
-        commit_log.len(),
-        co_graph::journal::COMMIT_MAGIC.len() as u64
-    );
+    let commit_log = std::fs::metadata(dir.join("eg.commit")).unwrap().len();
+    let magic = co_graph::journal::COMMIT_MAGIC.len() as u64;
+    if shards == 1 {
+        assert_eq!(commit_log, magic);
+    } else {
+        assert!(commit_log > magic, "no cross-shard publish was committed");
+    }
     let mut files: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
     files.sort();
-    assert_eq!(files, ["eg-0.wal", "eg.commit"]);
+    let mut expected: Vec<String> = (0..shards).map(|k| format!("eg-{k}.wal")).collect();
+    expected.push("eg.commit".to_owned());
+    expected.sort();
+    assert_eq!(files, expected);
 
     // The same decisions survive a restart from the data directory.
     let (reopened, _) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
     assert_eq!(graph_state(&reopened), (vertices, mat));
+}
+
+#[test]
+fn single_shard_durable_server_makes_the_recorded_decisions() {
+    run_recorded_sequence(1);
+}
+
+#[test]
+fn eight_shard_durable_server_makes_the_recorded_decisions() {
+    run_recorded_sequence(8);
 }

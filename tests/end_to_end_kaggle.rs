@@ -119,7 +119,7 @@ fn experiment_graph_accumulates_consistently() {
     let mut seen_vertices = 0;
     for dag in kaggle::all_workloads(&data).unwrap() {
         srv.run_workload(dag).unwrap();
-        let eg = srv.eg();
+        let eg = srv.shards().read(0);
         let n = eg.n_vertices();
         assert!(n >= seen_vertices, "EG must only grow");
         seen_vertices = n;
@@ -141,7 +141,7 @@ fn experiment_graph_accumulates_consistently() {
         }
     }
     // Frequencies: artifacts shared across workloads appear more often.
-    let eg = srv.eg();
+    let eg = srv.shards().read(0);
     let max_freq = eg.vertices().map(|v| v.frequency).max().unwrap();
     assert!(
         max_freq >= 4,
@@ -158,7 +158,7 @@ fn budget_is_respected_under_pressure() {
         let (_, unique, logical) = srv.storage_stats();
         // Sources are stored unconditionally and form the only permitted
         // overflow.
-        let eg = srv.eg();
+        let eg = srv.shards().read(0);
         let source_bytes: u64 = eg
             .sources()
             .iter()
@@ -179,7 +179,7 @@ fn stored_artifacts_round_trip_through_the_graph() {
     let data = data();
     let srv = server(MaterializerKind::All, ReuseKind::Linear, u64::MAX);
     let (executed, _) = srv.run_workload(kaggle::w2(&data).unwrap()).unwrap();
-    let eg = srv.eg();
+    let eg = srv.shards().read(0);
     for node in executed.nodes() {
         let Some(original) = &node.computed else {
             continue;

@@ -110,7 +110,7 @@ fn failed_workloads_salvage_their_prefix_without_corrupting_the_graph() {
     // First run succeeds end to end and populates the graph.
     let (_, report) = server.run_workload(workload(&budget)).unwrap();
     assert_eq!(report.ops_executed, 3);
-    let vertices_after_success = server.eg().n_vertices();
+    let vertices_after_success = server.shards().read(0).n_vertices();
     let stats_after_success = server.stats();
 
     // Exhaust the flaky op's budget and force a recompute of the flaky
@@ -136,7 +136,7 @@ fn failed_workloads_salvage_their_prefix_without_corrupting_the_graph() {
         assert_eq!(err.untainted(), 2, "tainted: {:?}", err.tainted);
         assert_eq!(err.completed.len(), 1); // stable_step (src was free)
         assert_eq!(err.report.salvaged_artifacts, 1);
-        let eg = kg.eg();
+        let eg = kg.shards().read(0);
         assert_eq!(eg.n_vertices(), 2, "only the untainted prefix may merge");
         let stats = kg.stats();
         assert_eq!(stats.workloads, 0);
@@ -145,7 +145,7 @@ fn failed_workloads_salvage_their_prefix_without_corrupting_the_graph() {
     }
 
     // The original server is untouched by any of this.
-    assert_eq!(server.eg().n_vertices(), vertices_after_success);
+    assert_eq!(server.shards().read(0).n_vertices(), vertices_after_success);
     assert_eq!(server.stats(), stats_after_success);
 
     // And it still serves the (materialized) original workload — the
@@ -164,7 +164,7 @@ fn workload_without_terminals_is_rejected_cleanly() {
     assert!(matches!(err.error, GraphError::NoTerminals));
     // Failure predates execution: nothing to salvage, nothing merged.
     assert!(err.tainted.is_empty());
-    assert_eq!(server.eg().n_vertices(), 0);
+    assert_eq!(server.shards().read(0).n_vertices(), 0);
     assert_eq!(server.stats().salvaged_artifacts, 0);
 }
 
@@ -214,7 +214,7 @@ fn recovery_after_failure_is_complete() {
         report.ops_executed >= 2 && report.ops_executed <= 3,
         "{report:?}"
     );
-    assert!(server.eg().n_vertices() > 0);
+    assert!(server.shards().read(0).n_vertices() > 0);
 }
 
 #[test]
@@ -242,7 +242,7 @@ fn permanent_failure_salvages_prefix_for_resubmission() {
     let err = server.run_workload(workload(&exhausted)).unwrap_err();
     assert_eq!(err.untainted(), 2); // src + stable_step survive
     assert_eq!(server.stats().salvaged_artifacts, 1);
-    assert_eq!(server.eg().n_vertices(), 2);
+    assert_eq!(server.shards().read(0).n_vertices(), 2);
 
     // Resubmitting with the fault fixed reuses the salvaged prefix:
     // stable_step never runs again.
@@ -310,7 +310,7 @@ fn evicted_artifacts_recompute_instead_of_erroring() {
 
     // Evict everything the run materialized.
     let ids: Vec<_> = {
-        let eg = server.eg();
+        let eg = server.shards().read(0);
         eg.storage().materialized_ids()
     };
     assert!(!ids.is_empty());

@@ -61,7 +61,7 @@ fn contended_submissions_with_evictions_all_succeed() {
             let stop = &stop;
             scope.spawn(move |_| {
                 while !stop.load(Ordering::Relaxed) {
-                    let ids = server.eg().storage().materialized_ids();
+                    let ids = server.shards().read(0).storage().materialized_ids();
                     for id in ids {
                         server.evict_artifact(id);
                     }
@@ -116,7 +116,7 @@ fn contended_submissions_with_evictions_all_succeed() {
         .sum();
     assert!((stats.run_seconds - run_sum).abs() < 1e-9);
     // Every distinct model landed in the shared graph despite evictions.
-    let eg = server.eg();
+    let eg = server.shards().read(0);
     for t in 0..4u32 {
         for r in 0..3u32 {
             let lr = 0.05 + 0.05 * f64::from(t * 3 + r);

@@ -1,12 +1,12 @@
 //! Ordered-lock stress over the sharded Experiment Graph (DESIGN.md
-//! §14): many concurrent publishers whose workloads span pseudo-random
-//! shard subsets must never deadlock — every publish acquires its
-//! touched shards' write locks in ascending index order, so circular
-//! waits are impossible by construction — and after a crash (injected
-//! at any journal-side point, including between two shards' appends of
-//! one publish) a reopened server holds exactly the committed prefix.
-//! One shard, the trivial case of the same design, runs every scenario
-//! too.
+//! §14): many concurrent publishers whose journal deltas span
+//! pseudo-random shard subsets must never deadlock — every publish
+//! acquires every shard's write lock in ascending index order, so
+//! circular waits are impossible by construction — and after a crash
+//! (injected at any journal-side point, including between two shards'
+//! appends of one publish) a reopened server holds exactly the
+//! committed prefix. One shard, the trivial case of the same design,
+//! runs every scenario too.
 
 use co_core::{DurabilityConfig, OptimizerServer, ServerConfig};
 use co_dataframe::Scalar;

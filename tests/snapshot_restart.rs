@@ -19,7 +19,7 @@ fn restart_keeps_meta_and_regains_reuse() {
     first.run_workload(kaggle::w1(&data).unwrap()).unwrap();
     first.run_workload(kaggle::w2(&data).unwrap()).unwrap();
     first.compact().unwrap();
-    let n_before = first.eg().n_vertices();
+    let n_before = first.shards().read(0).n_vertices();
     drop(first);
 
     // Session 2 (after a restart): the meta-data comes back from the
@@ -27,7 +27,7 @@ fn restart_keeps_meta_and_regains_reuse() {
     let (second, recovery) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
     assert!(recovery.snapshot_loaded);
     assert_eq!(recovery.journal_records_replayed, 0);
-    assert_eq!(second.eg().n_vertices(), n_before);
+    assert_eq!(second.shards().read(0).n_vertices(), n_before);
 
     // The graph knows every artifact of W1 (frequencies, costs) but holds
     // no content beyond what restored mat flags promise, so the first
@@ -37,7 +37,7 @@ fn restart_keeps_meta_and_regains_reuse() {
     assert!(rerun.ops_executed > 0);
     // — and frequencies carried over: W1's artifacts now have f >= 2.
     {
-        let eg = second.eg();
+        let eg = second.shards().read(0);
         let w1 = kaggle::w1(&data).unwrap();
         let some_artifact = w1.nodes().last().unwrap().artifact;
         assert!(eg.vertex(some_artifact).unwrap().frequency >= 2);
@@ -69,21 +69,27 @@ fn reopen_derives_the_dedup_mode_from_the_config() {
 
     let (first, _) = OptimizerServer::open(sa, DurabilityConfig::new(&dir)).unwrap();
     first.run_workload(kaggle::w1(&data).unwrap()).unwrap();
-    assert!(first.eg().storage().dedup_enabled());
-    let n_before = first.eg().n_vertices();
+    assert!(first.shards().read(0).storage().dedup_enabled());
+    let n_before = first.shards().read(0).n_vertices();
     drop(first);
 
     let (second, _) = OptimizerServer::open(helix, DurabilityConfig::new(&dir)).unwrap();
-    assert!(!second.eg().storage().dedup_enabled());
-    assert_eq!(second.eg().n_vertices(), n_before);
+    assert!(!second.shards().read(0).storage().dedup_enabled());
+    assert_eq!(second.shards().read(0).n_vertices(), n_before);
     second.run_workload(kaggle::w1(&data).unwrap()).unwrap();
-    assert_eq!(second.eg().vertex(terminal).unwrap().frequency, 2);
+    assert_eq!(
+        second.shards().read(0).vertex(terminal).unwrap().frequency,
+        2
+    );
     drop(second);
 
     let (third, _) = OptimizerServer::open(sa, DurabilityConfig::new(&dir)).unwrap();
-    assert!(third.eg().storage().dedup_enabled());
-    assert_eq!(third.eg().n_vertices(), n_before);
-    assert_eq!(third.eg().vertex(terminal).unwrap().frequency, 2);
+    assert!(third.shards().read(0).storage().dedup_enabled());
+    assert_eq!(third.shards().read(0).n_vertices(), n_before);
+    assert_eq!(
+        third.shards().read(0).vertex(terminal).unwrap().frequency,
+        2
+    );
 }
 
 #[test]
@@ -91,7 +97,7 @@ fn snapshot_is_stable_across_round_trips() {
     let data = home_credit(&HomeCreditScale::tiny());
     let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
     server.run_workload(kaggle::w4(&data).unwrap()).unwrap();
-    let once = snapshot::to_shard_snapshot(&server.eg(), &[], 1).unwrap();
+    let once = snapshot::to_shard_snapshot(&server.shards().read(0), &[], 1).unwrap();
     let restored = snapshot::from_shard_snapshot(&once, true, "<memory>").unwrap();
     let twice = snapshot::to_shard_snapshot(&restored.graph, &[], 1).unwrap();
     assert_eq!(once, twice, "snapshot must be a fixpoint");
